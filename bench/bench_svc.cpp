@@ -21,7 +21,16 @@
  *   svc_batch_on_rps        == the headline cell, re-stated next to
  *                           its off counterpart;
  *   svc_batch_speedup       on/off wall-clock ratio;
- *   svc_batch_occupancy     mean members per executed batch pass.
+ *   svc_batch_occupancy     mean members per executed batch pass;
+ *   svc_trials, ulecc_jobs  the protocol: campaigns per cell and the
+ *                           worker threads they ran on ($ULECC_JOBS,
+ *                           else the hardware width; 1 for --serial);
+ *   svc_wall_median_s,      median and minimum wall time of the
+ *   svc_wall_min_s          headline cell.
+ *
+ * Every cell runs kTrials campaigns and reports their median (the
+ * rates above) and minimum wall time: one lucky or unlucky run on a
+ * shared host cannot set the number, and the spread shows.
  *
  * tools/check.sh --bench compares a fresh journal line against the
  * committed BENCH_svc.json baseline, so a change that slows the
@@ -31,7 +40,11 @@
  * campaign *outcomes* stay deterministic either way.
  */
 
+#include <algorithm>
 #include <chrono>
+#include <vector>
+
+#include "par/thread_pool.hh"
 
 #include "svc/service.hh"
 #include "svc/telemetry.hh"
@@ -112,18 +125,26 @@ runOnce(bool serial, bool batching, bool telemetry,
     return s;
 }
 
-/** Best of @p trials (minimum wall time denoises scheduler jitter). */
-double
-measure(bool serial, bool batching, bool telemetry,
-        double *occupancy = nullptr, int trials = 2)
+/** Campaigns per cell: odd, so the median is one of them. */
+constexpr int kTrials = 5;
+
+/** Wall-clock summary of one cell's campaigns. */
+struct Timing
 {
-    double best = runOnce(serial, batching, telemetry, occupancy);
-    for (int i = 1; i < trials; ++i) {
-        double s = runOnce(serial, batching, telemetry, occupancy);
-        if (s < best)
-            best = s;
-    }
-    return best;
+    double median_s;
+    double min_s;
+};
+
+/** Median and minimum wall time over kTrials campaigns. */
+Timing
+measure(bool serial, bool batching, bool telemetry,
+        double *occupancy = nullptr)
+{
+    std::vector<double> s;
+    for (int i = 0; i < kTrials; ++i)
+        s.push_back(runOnce(serial, batching, telemetry, occupancy));
+    std::sort(s.begin(), s.end());
+    return {s[kTrials / 2], s.front()};
 }
 
 } // namespace
@@ -142,26 +163,37 @@ main(int argc, char **argv)
 
     const SvcConfig cfg = campaignConfig(sweep.serial(), true);
     double occOff = 1.0, occOn = 1.0;
-    double batchOff_s = measure(sweep.serial(), false, false, &occOff);
-    double batchOn_s = measure(sweep.serial(), true, false, &occOn);
-    double tel_s = measure(sweep.serial(), true, true);
-    double offRps = double(cfg.requests) / batchOff_s;
-    double onRps = double(cfg.requests) / batchOn_s;
-    double overhead = tel_s / batchOn_s;
+    Timing batchOff = measure(sweep.serial(), false, false, &occOff);
+    Timing batchOn = measure(sweep.serial(), true, false, &occOn);
+    Timing tel = measure(sweep.serial(), true, true);
+    double offRps = double(cfg.requests) / batchOff.median_s;
+    double onRps = double(cfg.requests) / batchOn.median_s;
+    double overhead = tel.median_s / batchOn.median_s;
 
-    Table t({"Configuration", "Wall s", "Requests/s", "Occupancy"});
-    t.addRow({"batching off", fmt(batchOff_s, 3), fmt(offRps, 0),
-              fmt(occOff, 2)});
-    t.addRow({"batching max 16, linger 8ms", fmt(batchOn_s, 3),
-              fmt(onRps, 0), fmt(occOn, 2)});
-    t.addRow({"  + tracer+timeline+slo+flight", fmt(tel_s, 3),
-              fmt(double(cfg.requests) / tel_s, 0), fmt(occOn, 2)});
+    Table t({"Configuration", "Median s", "Min s", "Requests/s",
+             "Occupancy"});
+    auto row = [&](const char *name, Timing w, double occ) {
+        t.addRow({name, fmt(w.median_s, 3), fmt(w.min_s, 3),
+                  fmt(double(cfg.requests) / w.median_s, 0),
+                  fmt(occ, 2)});
+    };
+    row("batching off", batchOff, occOff);
+    row("batching max 16, linger 8ms", batchOn, occOn);
+    row("  + tracer+timeline+slo+flight", tel, occOn);
     t.print();
+
+    unsigned jobs = sweep.serial() ? 1 : ThreadPool::defaultThreads();
+    std::printf("%d campaigns per cell on %u worker thread(s); "
+                "requests/s from the median\n", kTrials, jobs);
 
     BenchJournal::instance().recordSvcSpeed(onRps, overhead);
     BenchJournal::instance().recordSvcBatch(offRps, onRps,
-                                            batchOff_s / batchOn_s,
+                                            batchOff.median_s
+                                                / batchOn.median_s,
                                             occOn);
+    BenchJournal::instance().recordSvcTrials(kTrials, jobs,
+                                             batchOn.median_s,
+                                             batchOn.min_s);
 
     footnote("timings are host-dependent (exempt from byte-identity); "
              "the journal's svc_requests_per_sec field tracks the "

@@ -266,6 +266,18 @@ BenchJournal::recordSvcBatch(double offRps, double onRps,
 }
 
 void
+BenchJournal::recordSvcTrials(int trials, unsigned jobs,
+                              double wallMedian, double wallMin)
+{
+    if (!open_)
+        return;
+    record_["svc_trials"] = static_cast<int64_t>(trials);
+    record_["ulecc_jobs"] = static_cast<int64_t>(jobs);
+    record_["svc_wall_median_s"] = wallMedian;
+    record_["svc_wall_min_s"] = wallMin;
+}
+
+void
 BenchJournal::note(const std::string &text)
 {
     if (!open_)

@@ -133,6 +133,12 @@ class BenchJournal
     void recordSvcBatch(double offRps, double onRps, double speedup,
                         double occupancy);
 
+    /** Captures bench_svc's protocol: campaigns per cell, the worker
+     * threads they ran on ($ULECC_JOBS or the hardware width), and the
+     * headline cell's median and minimum wall-clock seconds. */
+    void recordSvcTrials(int trials, unsigned jobs, double wallMedian,
+                         double wallMin);
+
     /** Captures a free-form note line. */
     void note(const std::string &text);
 

@@ -83,7 +83,8 @@ class BinaryField
      * Field multiplication via the left-to-right comb method with 4-bit
      * windows (paper Algorithm 6) followed by fast reduction.  This is
      * the software-only algorithm whose cost makes unassisted binary
-     * ECC impractical.
+     * ECC impractical.  Operands wider than words() limbs are rejected
+     * (Errc::InvalidInput), as in polyMulComb.
      */
     MpUint mul(const MpUint &a, const MpUint &b) const;
 
@@ -133,7 +134,11 @@ class BinaryField
      */
     MpUint halfTrace(const MpUint &a) const;
 
-    /** Raw polynomial product (no reduction), comb method. */
+    /**
+     * Raw polynomial product (no reduction), comb method over fixed
+     * word arrays.  Throws UleccError(Errc::InvalidInput) when an
+     * operand has more than words() limbs.
+     */
     MpUint polyMulComb(const MpUint &a, const MpUint &b) const;
 
     /** Raw polynomial product (no reduction), word CLMUL scanning. */
@@ -143,6 +148,13 @@ class BinaryField
     MpUint polySqr(const MpUint &a) const;
 
   private:
+    /** polyMulComb into the 2*words() words at @p c. */
+    void combInto(const MpUint &a, const MpUint &b, uint32_t *c) const;
+
+    /** Folds the @p n words at @p c modulo f(x) in place; returns the
+     * reduced value. */
+    MpUint reduceWords(uint32_t *c, int n) const;
+
     MpUint f_;
     int m_;
     int words_;

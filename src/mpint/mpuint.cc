@@ -5,6 +5,7 @@
 
 #include "mpint/mpuint.hh"
 
+#include <algorithm>
 #include <cctype>
 
 #include "base/error.hh"
@@ -84,6 +85,20 @@ MpUint::powerOfTwo(int bit)
 {
     MpUint r;
     r.setBit(bit);
+    return r;
+}
+
+MpUint
+MpUint::fromLimbs(const uint32_t *limbs, int n)
+{
+    if (n < 0 || n > maxLimbs)
+        throw UleccError(Errc::OutOfRange,
+                         "MpUint::fromLimbs: limb count "
+                         + std::to_string(n));
+    MpUint r;
+    std::copy(limbs, limbs + n, r.limbs_.begin());
+    r.n_ = n;
+    r.trim();
     return r;
 }
 

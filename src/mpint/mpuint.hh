@@ -51,6 +51,12 @@ class MpUint
     /** Returns 2^bit. */
     static MpUint powerOfTwo(int bit);
 
+    /**
+     * Builds a value from @p n little-endian limbs (n <= maxLimbs):
+     * the way out of the field kernels' fixed word arrays.
+     */
+    static MpUint fromLimbs(const uint32_t *limbs, int n);
+
     /** Number of significant limbs (0 for the value zero). */
     int size() const { return n_; }
 

@@ -7,7 +7,7 @@
 
 #include "base/error.hh"
 
-#include <cassert>
+#include <algorithm>
 #include <stdexcept>
 
 #include "mpint/op_observer.hh"
@@ -76,6 +76,229 @@ detectKind(const MpUint &p)
     return NistPrime::Generic;
 }
 
+/* Fixed-width word kernels for the NIST primes.  Values travel as
+ * little-endian uint32_t arrays on the stack; the widest prime,
+ * P-521, needs 17 words and its products 34. */
+
+constexpr int kMaxWords = 17;
+
+/** t[0..2k) = a * b by operand scanning (paper Algorithm 2). */
+void
+mulWords(const MpUint &a, const MpUint &b, int k, uint32_t *t)
+{
+    std::fill(t, t + 2 * k, 0u);
+    for (int i = 0; i < k; ++i) {
+        uint64_t u = 0;
+        uint64_t bi = b.limbU(i);
+        for (int j = 0; j < k; ++j) {
+            u += static_cast<uint64_t>(a.limbU(j)) * bi + t[i + j];
+            t[i + j] = static_cast<uint32_t>(u);
+            u >>= 32;
+        }
+        t[i + k] = static_cast<uint32_t>(u);
+    }
+}
+
+/** t[0..2k) = a^2: cross products once, doubled, plus the squares. */
+void
+sqrWords(const MpUint &a, int k, uint32_t *t)
+{
+    std::fill(t, t + 2 * k, 0u);
+    for (int i = 1; i < k; ++i) {
+        uint64_t u = 0;
+        uint64_t ai = a.limbU(i);
+        for (int j = 0; j < i; ++j) {
+            u += static_cast<uint64_t>(a.limbU(j)) * ai + t[i + j];
+            t[i + j] = static_cast<uint32_t>(u);
+            u >>= 32;
+        }
+        t[2 * i] = static_cast<uint32_t>(u);
+    }
+    uint32_t top = 0;
+    for (int i = 0; i < 2 * k; ++i) {
+        uint32_t next = t[i] >> 31;
+        t[i] = (t[i] << 1) | top;
+        top = next;
+    }
+    uint64_t c = 0;
+    for (int i = 0; i < k; ++i) {
+        uint64_t sq = static_cast<uint64_t>(a.limbU(i)) * a.limbU(i);
+        c += static_cast<uint64_t>(t[2 * i]) + static_cast<uint32_t>(sq);
+        t[2 * i] = static_cast<uint32_t>(c);
+        c = (c >> 32) + t[2 * i + 1] + (sq >> 32);
+        t[2 * i + 1] = static_cast<uint32_t>(c);
+        c >>= 32;
+    }
+}
+
+/**
+ * One carry pass over signed column sums: r[0..k) takes the low
+ * words, the signed carry out of the top column is returned.
+ */
+int64_t
+carryColumns(const int64_t *col, int k, uint32_t *r)
+{
+    int64_t acc = 0;
+    for (int j = 0; j < k; ++j) {
+        acc += col[j];
+        r[j] = static_cast<uint32_t>(acc);
+        acc >>= 32; // arithmetic: the sums may be negative
+    }
+    return acc;
+}
+
+/**
+ * Brings r[0..k) + top * 2^(32k) into [0, p) by adding p while the
+ * value is negative and subtracting it while the value is >= p.  The
+ * column sums leave |top| at most a few units and p > 2^(32k-1), so
+ * both loops run a bounded handful of times.
+ */
+void
+normalize(uint32_t *r, int64_t top, const MpUint &p, int k)
+{
+    while (top < 0) {
+        uint64_t c = 0;
+        for (int i = 0; i < k; ++i) {
+            c += static_cast<uint64_t>(r[i]) + p.limbU(i);
+            r[i] = static_cast<uint32_t>(c);
+            c >>= 32;
+        }
+        top += static_cast<int64_t>(c);
+    }
+    auto belowP = [&] {
+        for (int i = k - 1; i >= 0; --i) {
+            if (r[i] != p.limbU(i))
+                return r[i] < p.limbU(i);
+        }
+        return false;
+    };
+    while (top > 0 || !belowP()) {
+        uint64_t borrow = 0;
+        for (int i = 0; i < k; ++i) {
+            uint64_t d = static_cast<uint64_t>(r[i]) - p.limbU(i) - borrow;
+            r[i] = static_cast<uint32_t>(d);
+            borrow = (d >> 32) & 1;
+        }
+        top -= static_cast<int64_t>(borrow);
+    }
+}
+
+/**
+ * Paper Algorithm 4 over words.  On the 64-bit chunks c5..c0 of the
+ * 384-bit input, s1 = (c2,c1,c0), s2 = (0,c3,c3), s3 = (c4,c4,0) and
+ * s4 = (c5,c5,c5); T = s1 + s2 + s3 + s4, then subtract p until
+ * T < p.  Chunk cj is the words c[2j], c[2j+1].
+ */
+void
+reduceP192Words(const uint32_t *c, const MpUint &p, uint32_t *r)
+{
+    int64_t col[6];
+    col[0] = int64_t(c[0]) + c[6] + c[10];
+    col[1] = int64_t(c[1]) + c[7] + c[11];
+    col[2] = int64_t(c[2]) + c[6] + c[8] + c[10];
+    col[3] = int64_t(c[3]) + c[7] + c[9] + c[11];
+    col[4] = int64_t(c[4]) + c[8] + c[10];
+    col[5] = int64_t(c[5]) + c[9] + c[11];
+    normalize(r, carryColumns(col, 6, r), p, 6);
+}
+
+/** FIPS 186-4 D.2.2: T + S1 + S2 - D1 - D2 of c[0..14). */
+void
+reduceP224Words(const uint32_t *c, const MpUint &p, uint32_t *r)
+{
+    int64_t col[7];
+    col[0] = int64_t(c[0]) - c[7] - c[11];
+    col[1] = int64_t(c[1]) - c[8] - c[12];
+    col[2] = int64_t(c[2]) - c[9] - c[13];
+    col[3] = int64_t(c[3]) + c[7] + c[11] - c[10];
+    col[4] = int64_t(c[4]) + c[8] + c[12] - c[11];
+    col[5] = int64_t(c[5]) + c[9] + c[13] - c[12];
+    col[6] = int64_t(c[6]) + c[10] - c[13];
+    normalize(r, carryColumns(col, 7, r), p, 7);
+}
+
+/** FIPS 186-4 D.2.3: T + 2S1 + 2S2 + S3 + S4 - D1 - D2 - D3 - D4. */
+void
+reduceP256Words(const uint32_t *c, const MpUint &p, uint32_t *r)
+{
+    int64_t col[8];
+    col[0] = int64_t(c[0]) + c[8] + c[9] - c[11] - c[12] - c[13] - c[14];
+    col[1] = int64_t(c[1]) + c[9] + c[10] - c[12] - c[13] - c[14] - c[15];
+    col[2] = int64_t(c[2]) + c[10] + c[11] - c[13] - c[14] - c[15];
+    col[3] = int64_t(c[3]) + 2 * int64_t(c[11]) + 2 * int64_t(c[12])
+        + c[13] - c[15] - c[8] - c[9];
+    col[4] = int64_t(c[4]) + 2 * int64_t(c[12]) + 2 * int64_t(c[13])
+        + c[14] - c[9] - c[10];
+    col[5] = int64_t(c[5]) + 2 * int64_t(c[13]) + 2 * int64_t(c[14])
+        + c[15] - c[10] - c[11];
+    col[6] = int64_t(c[6]) + 3 * int64_t(c[14]) + 2 * int64_t(c[15])
+        + c[13] - c[8] - c[9];
+    col[7] = int64_t(c[7]) + 3 * int64_t(c[15]) + c[8] - c[10] - c[11]
+        - c[12] - c[13];
+    normalize(r, carryColumns(col, 8, r), p, 8);
+}
+
+/** FIPS 186-4 D.2.4: T + 2S1 + S2 + S3 + S4 + S5 + S6 - D1 - D2 - D3. */
+void
+reduceP384Words(const uint32_t *c, const MpUint &p, uint32_t *r)
+{
+    int64_t col[12];
+    col[0] = int64_t(c[0]) + c[12] + c[21] + c[20] - c[23];
+    col[1] = int64_t(c[1]) + c[13] + c[22] + c[23] - c[12] - c[20];
+    col[2] = int64_t(c[2]) + c[14] + c[23] - c[13] - c[21];
+    col[3] = int64_t(c[3]) + c[15] + c[12] + c[20] + c[21] - c[14]
+        - c[22] - c[23];
+    col[4] = int64_t(c[4]) + 2 * int64_t(c[21]) + c[16] + c[13] + c[12]
+        + c[20] + c[22] - c[15] - 2 * int64_t(c[23]);
+    col[5] = int64_t(c[5]) + 2 * int64_t(c[22]) + c[17] + c[14] + c[13]
+        + c[21] + c[23] - c[16];
+    col[6] = int64_t(c[6]) + 2 * int64_t(c[23]) + c[18] + c[15] + c[14]
+        + c[22] - c[17];
+    col[7] = int64_t(c[7]) + c[19] + c[16] + c[15] + c[23] - c[18];
+    col[8] = int64_t(c[8]) + c[20] + c[17] + c[16] - c[19];
+    col[9] = int64_t(c[9]) + c[21] + c[18] + c[17] - c[20];
+    col[10] = int64_t(c[10]) + c[22] + c[19] + c[18] - c[21];
+    col[11] = int64_t(c[11]) + c[23] + c[20] + c[19] - c[22];
+    normalize(r, carryColumns(col, 12, r), p, 12);
+}
+
+/**
+ * P-521 = 2^521 - 1: r = (c mod 2^521) + (c >> 521).  A product of
+ * reduced operands needs that one shift-add; wider inputs (up to 34
+ * words) fold again, then r == p is the one value left to clear.
+ */
+void
+reduceP521Words(const uint32_t *c, uint32_t *r)
+{
+    uint64_t acc = 0;
+    for (int j = 0; j < 17; ++j) {
+        uint32_t lo = j < 16 ? c[j] : (c[16] & 0x1ff);
+        uint32_t hi = (c[16 + j] >> 9) | (c[17 + j] << 23);
+        acc += static_cast<uint64_t>(lo) + hi;
+        r[j] = static_cast<uint32_t>(acc);
+        acc >>= 32;
+    }
+    // Bits from 544 up: the carry plus the last partial word of c.
+    uint64_t above = acc + (c[33] >> 9);
+    for (;;) {
+        uint64_t h = (r[16] >> 9) | (above << 23);
+        if (!h)
+            break;
+        r[16] &= 0x1ff;
+        for (int j = 0; j < 17 && h; ++j) {
+            h += r[j];
+            r[j] = static_cast<uint32_t>(h);
+            h >>= 32;
+        }
+        above = h;
+    }
+    bool isP = r[16] == 0x1ff;
+    for (int j = 0; j < 16 && isP; ++j)
+        isP = r[j] == 0xffffffffu;
+    if (isP)
+        std::fill(r, r + 17, 0u);
+}
+
 } // namespace
 
 PrimeField::PrimeField(const MpUint &p)
@@ -133,7 +356,11 @@ MpUint
 PrimeField::mul(const MpUint &a, const MpUint &b) const
 {
     notifyFieldOp(FieldOp::Mul, bits_, false);
-    return reduce(a.mulOperandScan(b));
+    if (!fixedWidth(a) || !fixedWidth(b))
+        return reduce(a.mulOperandScan(b));
+    uint32_t t[2 * kMaxWords];
+    mulWords(a, b, words_, t);
+    return reduceWords(t);
 }
 
 MpUint
@@ -147,7 +374,11 @@ MpUint
 PrimeField::sqr(const MpUint &a) const
 {
     notifyFieldOp(FieldOp::Sqr, bits_, false);
-    return reduce(a.sqr());
+    if (!fixedWidth(a))
+        return reduce(a.sqr());
+    uint32_t t[2 * kMaxWords];
+    sqrWords(a, words_, t);
+    return reduceWords(t);
 }
 
 MpUint
@@ -183,9 +414,31 @@ PrimeField::pow(const MpUint &a, const MpUint &e) const
 MpUint
 PrimeField::reduce(const MpUint &wide) const
 {
-    if (hasSolinas())
+    if (kind_ == NistPrime::Generic)
+        return reduceGeneric(wide);
+    if (wide.size() > 2 * words_)
         return reduceSolinas(wide);
-    return reduceGeneric(wide);
+    uint32_t t[2 * kMaxWords] = {};
+    for (int i = 0; i < wide.size(); ++i)
+        t[i] = wide.limbU(i);
+    return reduceWords(t);
+}
+
+MpUint
+PrimeField::reduceWords(const uint32_t *t) const
+{
+    uint32_t r[kMaxWords];
+    switch (kind_) {
+      case NistPrime::P192: reduceP192Words(t, p_, r); break;
+      case NistPrime::P224: reduceP224Words(t, p_, r); break;
+      case NistPrime::P256: reduceP256Words(t, p_, r); break;
+      case NistPrime::P384: reduceP384Words(t, p_, r); break;
+      case NistPrime::P521: reduceP521Words(t, r); break;
+      default:
+        throw UleccError(Errc::Internal,
+                         "PrimeField::reduceWords: not a NIST prime");
+    }
+    return MpUint::fromLimbs(r, words_);
 }
 
 MpUint
@@ -247,29 +500,15 @@ PrimeField::reduceSolinas(const MpUint &wide) const
 MpUint
 PrimeField::reduceP192Literal(const MpUint &wide) const
 {
-    assert(kind_ == NistPrime::P192);
-    // Paper Algorithm 4, on 64-bit chunks c5..c0 of the 384-bit input:
-    //   s1 = (c2,c1,c0)  s2 = (0,c3,c3)  s3 = (c4,c4,0)  s4 = (c5,c5,c5)
-    //   T = s1 + s2 + s3 + s4; subtract p until T < p.
-    auto chunk = [&](int j) {
-        MpUint c;
-        c.setLimb(0, wide.limb(2 * j));
-        c.setLimb(1, wide.limb(2 * j + 1));
-        return c;
-    };
-    auto compose = [](const MpUint &hi, const MpUint &mid, const MpUint &lo) {
-        return hi.shiftLeft(128).add(mid.shiftLeft(64)).add(lo);
-    };
-    MpUint c0 = chunk(0), c1 = chunk(1), c2 = chunk(2);
-    MpUint c3 = chunk(3), c4 = chunk(4), c5 = chunk(5);
-    MpUint s1 = compose(c2, c1, c0);
-    MpUint s2 = compose(MpUint(), c3, c3);
-    MpUint s3 = compose(c4, c4, MpUint());
-    MpUint s4 = compose(c5, c5, c5);
-    MpUint t = s1.add(s2).add(s3).add(s4);
-    while (t >= p_)
-        t = t.sub(p_);
-    return t;
+    if (kind_ != NistPrime::P192)
+        throw UleccError(Errc::InvalidInput,
+                         "PrimeField::reduceP192Literal: not P-192");
+    uint32_t t[12];
+    for (int i = 0; i < 12; ++i)
+        t[i] = wide.limbU(i);
+    uint32_t r[6];
+    reduceP192Words(t, p_, r);
+    return MpUint::fromLimbs(r, 6);
 }
 
 MpUint

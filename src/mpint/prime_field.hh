@@ -16,6 +16,12 @@
  *
  * The five NIST primes of the study (P-192/224/256/384/521) are
  * recognised and given their Solinas fold identities (paper Eq. 4.3-4.7).
+ * For them mul, sqr and reduce run fixed-width word kernels: operand
+ * scanning and squaring over words() limbs into a stack buffer, then
+ * the word-level reduction of FIPS 186-4 D.2 (P-224/256/384), the
+ * paper's Algorithm 4 (P-192) or one shift-add (P-521).  The generic
+ * Solinas fold (reduceSolinas) is the reference they are tested
+ * against, and the path for inputs wider than 2*words() limbs.
  */
 
 #ifndef ULECC_MPINT_PRIME_FIELD_HH
@@ -101,18 +107,27 @@ class PrimeField
     /** a^e mod p (left-to-right binary, Montgomery domain inside). */
     MpUint pow(const MpUint &a, const MpUint &e) const;
 
-    /** Reduces a double-width value: fast path if available. */
+    /**
+     * Reduces a value mod p: the word-level NIST kernel for inputs of
+     * at most 2*words() limbs, the Solinas fold for wider ones, and
+     * division for a generic modulus.
+     */
     MpUint reduce(const MpUint &wide) const;
 
     /** Generic reduction via division (test oracle / fallback). */
     MpUint reduceGeneric(const MpUint &wide) const;
 
-    /** NIST fast reduction via the Solinas fold identity. */
+    /**
+     * NIST fast reduction via the generic Solinas fold identity: the
+     * reference the word-level kernels are checked against.
+     */
     MpUint reduceSolinas(const MpUint &wide) const;
 
     /**
      * The paper's Algorithm 4, word-for-word: fast reduction modulo
-     * P-192 using 64-bit chunks s1..s4.  Only valid for P-192.
+     * P-192 using 64-bit chunks s1..s4 of the low 384 bits.  The
+     * production P-192 reduction; throws Errc::InvalidInput on any
+     * other field.
      */
     MpUint reduceP192Literal(const MpUint &wide) const;
 
@@ -158,6 +173,15 @@ class PrimeField
     bool sqrt(const MpUint &a, MpUint &root) const;
 
   private:
+    /** True if @p a may enter the fixed-width NIST kernels. */
+    bool fixedWidth(const MpUint &a) const
+    {
+        return kind_ != NistPrime::Generic && a.size() <= words_;
+    }
+
+    /** Word-level NIST reduction of the 2*words() limbs at @p t. */
+    MpUint reduceWords(const uint32_t *t) const;
+
     MpUint p_;
     int bits_;
     int words_;

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "base/error.hh"
 #include "mpint/binary_field.hh"
 #include "test_util.hh"
 
@@ -87,6 +90,27 @@ TEST_P(BinaryFieldAll, CombMatchesClmulScanning)
         EXPECT_EQ(f.polyMulComb(a, b), f.polyMulClmul(a, b))
             << "a=" << a.toHex() << " b=" << b.toHex();
         EXPECT_EQ(f.mul(a, b), f.mulClmul(a, b));
+    }
+    // All-ones m-bit operands: every window of every word is 0xf.
+    MpUint ones = MpUint::powerOfTwo(f.degree()).sub(MpUint(1));
+    EXPECT_EQ(f.polyMulComb(ones, ones), f.polyMulClmul(ones, ones));
+    EXPECT_EQ(f.mul(ones, ones), f.mulClmul(ones, ones));
+}
+
+TEST(BinaryField, MulRejectsOverWideOperand)
+{
+    // The comb scans words() limbs of its operands; a wider one used
+    // to be truncated silently (mul(2^200, 1) returned 0 on B-163).
+    BinaryField f(NistBinary::B163);
+    MpUint wide = MpUint::powerOfTwo(200);
+    for (const auto &[a, b] : {std::pair{wide, MpUint(1)},
+                               std::pair{MpUint(1), wide}}) {
+        try {
+            f.mul(a, b);
+            ADD_FAILURE() << "over-wide operand accepted";
+        } catch (const UleccError &e) {
+            EXPECT_EQ(e.code(), Errc::InvalidInput);
+        }
     }
 }
 

@@ -44,20 +44,56 @@ TEST_P(PrimeFieldAll, KindDetected)
 
 TEST_P(PrimeFieldAll, SolinasMatchesGeneric)
 {
+    // reduce() runs the word-level kernel; reduceSolinas() is the
+    // generic fold it must agree with.
     PrimeField f(GetParam());
+    auto expectAllAgree = [&](const MpUint &wide) {
+        MpUint want = f.reduceGeneric(wide);
+        EXPECT_EQ(f.reduceSolinas(wide), want) << "wide=" << wide.toHex();
+        EXPECT_EQ(f.reduce(wide), want) << "wide=" << wide.toHex();
+    };
     Rng rng(0x5151 + static_cast<int>(GetParam()));
     for (int i = 0; i < 200; ++i) {
         // Random double-width values, including near-maximal ones.
-        MpUint wide = rng.mp(1 + static_cast<int>(
-            rng.below(2 * f.bits())));
-        EXPECT_EQ(f.reduceSolinas(wide), f.reduceGeneric(wide))
-            << "wide=" << wide.toHex();
+        expectAllAgree(rng.mp(1 + static_cast<int>(
+            rng.below(2 * f.bits()))));
     }
     // Extremes.
-    MpUint maxw = MpUint::powerOfTwo(2 * f.bits()).sub(MpUint(1));
-    EXPECT_EQ(f.reduceSolinas(maxw), f.reduceGeneric(maxw));
+    const MpUint one(1);
+    MpUint pm1 = f.modulus().sub(one);
+    expectAllAgree(MpUint::powerOfTwo(2 * f.bits()).sub(one));
+    expectAllAgree(pm1.mul(pm1));
+    expectAllAgree(MpUint::powerOfTwo(64 * f.words()).sub(one));
+    // The wide value whose D.2 column sums are most negative: all-ones
+    // words [lo, hi) and zero elsewhere drive the signed carry below
+    // zero, so the kernel must take its add-p loop.
+    int lo = 0, hi = 0;
+    switch (GetParam()) {
+      case NistPrime::P224: lo = 11; hi = 14; break;
+      case NistPrime::P256: lo = 9; hi = 14; break;
+      case NistPrime::P384: lo = 21; hi = 23; break;
+      default: break; // P-192 and P-521 have no negative terms
+    }
+    if (hi > lo) {
+        expectAllAgree(MpUint::powerOfTwo(32 * hi)
+                           .sub(MpUint::powerOfTwo(32 * lo)));
+    }
     EXPECT_EQ(f.reduceSolinas(f.modulus()).toHex(), "0");
+    EXPECT_EQ(f.reduce(f.modulus()).toHex(), "0");
     EXPECT_EQ(f.reduceSolinas(MpUint(0)).toHex(), "0");
+    EXPECT_EQ(f.reduce(MpUint(0)).toHex(), "0");
+}
+
+TEST_P(PrimeFieldAll, MulKeepsOverWideOperands)
+{
+    // Operands wider than words() limbs bypass the fixed-width kernels
+    // rather than being truncated to them.
+    PrimeField f(GetParam());
+    MpUint big = MpUint::powerOfTwo(300);
+    MpUint want = big.mod(f.modulus());
+    EXPECT_EQ(f.mul(big, MpUint(1)), want);
+    EXPECT_EQ(f.mul(MpUint(1), big), want);
+    EXPECT_EQ(f.sqr(big), big.mul(big).mod(f.modulus()));
 }
 
 TEST_P(PrimeFieldAll, AddSubNegLaws)

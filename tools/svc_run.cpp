@@ -31,20 +31,32 @@
  *   --slo              ulecc.svc.slo.v1 burn-rate alert log + verdict
  *   --flight-recorder  ulecc.svc.flight.v1 last-N request ring dump
  *
+ * Numeric option values are parsed strictly: the whole argument must
+ * be one number inside the option's range (no NaN, infinity, sign on
+ * a count, or trailing junk), else svc_run names the option on stderr
+ * and exits 2 instead of running a campaign the engine would silently
+ * clamp.
+ *
  * Exit codes: 0 success; 1 a robustness invariant failed (a request
  * was lost, a wrong answer escaped, an unstructured exception was
  * caught, or --slo found a budget breach with no alert fired); 2
  * usage or I/O error.
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "core/report.hh"
 #include "obs/metrics.hh"
+#include "par/thread_pool.hh"
 #include "svc/service.hh"
 #include "svc/telemetry.hh"
 
@@ -74,6 +86,52 @@ usage()
         "               [--slo PATH] [--flight-recorder PATH]\n");
 }
 
+/** Allowed values of a real option; an open end excludes its bound. */
+struct RealRange
+{
+    double lo, hi;
+    bool openLo = false;
+    bool openHi = false;
+};
+
+/**
+ * Strict real parse: the whole of @p text must be one finite number
+ * inside @p r (strtod alone accepts "nan", "-1" and "10x").
+ */
+std::optional<double>
+parseReal(const char *text, RealRange r)
+{
+    if (!*text || std::isspace(static_cast<unsigned char>(*text)))
+        return std::nullopt;
+    char *end = nullptr;
+    errno = 0;
+    double v = std::strtod(text, &end);
+    if (*end != '\0' || errno == ERANGE || !std::isfinite(v))
+        return std::nullopt;
+    if (v < r.lo || (r.openLo && v == r.lo) || v > r.hi
+        || (r.openHi && v == r.hi))
+        return std::nullopt;
+    return v;
+}
+
+/**
+ * Strict unsigned parse (decimal, or 0x-hex as before): the whole of
+ * @p text must be one integer in [lo, hi]; a sign is rejected (strtoull
+ * wraps "-1" to 2^64 - 1).
+ */
+std::optional<uint64_t>
+parseUnsigned(const char *text, uint64_t lo, uint64_t hi)
+{
+    if (!std::isdigit(static_cast<unsigned char>(*text)))
+        return std::nullopt;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text, &end, 0);
+    if (*end != '\0' || errno == ERANGE || v < lo || v > hi)
+        return std::nullopt;
+    return v;
+}
+
 } // namespace
 
 int
@@ -87,22 +145,49 @@ main(int argc, char **argv)
     std::string flightPath;
     uint64_t windowMs = 50;
     bool quiet = false;
+    constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
+    constexpr double kMaxMs = 1e12; // ms values become uint64_t ns
     for (int i = 1; i < argc; ++i) {
-        auto num = [&](uint64_t &out) {
-            out = std::strtoull(argv[++i], nullptr, 0);
+        auto badValue = [&](const std::string &want) {
+            std::fprintf(stderr,
+                         "svc_run: bad value '%s' for %s (want %s)\n",
+                         argv[i], argv[i - 1], want.c_str());
+            return false;
         };
+        // Each reads the value argv[++i] into out, or reports it.
+        auto count = [&](uint64_t lo, uint64_t hi, auto &out) {
+            std::optional<uint64_t> v = parseUnsigned(argv[++i], lo, hi);
+            if (!v) {
+                return badValue("an integer in [" + std::to_string(lo)
+                                + ", " + std::to_string(hi) + "]");
+            }
+            out = static_cast<std::remove_reference_t<decltype(out)>>(*v);
+            return true;
+        };
+        auto real = [&](RealRange r, double scale, auto &out) {
+            std::optional<double> v = parseReal(argv[++i], r);
+            if (!v) {
+                char want[96];
+                std::snprintf(want, sizeof want, "a number in %c%g, %g%c",
+                              r.openLo ? '(' : '[', r.lo, r.hi,
+                              r.openHi ? ')' : ']');
+                return badValue(want);
+            }
+            out = static_cast<std::remove_reference_t<decltype(out)>>(
+                *v * scale);
+            return true;
+        };
+        bool ok = true;
         if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-            num(cfg.seed);
+            ok = count(0, kU64Max, cfg.seed);
         } else if (!std::strcmp(argv[i], "--requests") && i + 1 < argc) {
-            num(cfg.requests);
+            ok = count(1, 100'000'000, cfg.requests);
         } else if (!std::strcmp(argv[i], "--users") && i + 1 < argc) {
-            num(cfg.users);
+            ok = count(1, 1'000'000'000, cfg.users);
         } else if (!std::strcmp(argv[i], "--workers") && i + 1 < argc) {
-            cfg.virtualWorkers = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
+            ok = count(1, 4096, cfg.virtualWorkers);
         } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            cfg.jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
+            ok = count(0, ThreadPool::maxThreads, cfg.jobs);
         } else if (!std::strcmp(argv[i], "--serial")) {
             cfg.serial = true;
         } else if (!std::strcmp(argv[i], "--pool") && i + 1 < argc) {
@@ -116,7 +201,7 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (!std::strcmp(argv[i], "--queue-cap") && i + 1 < argc) {
-            cfg.queueCap = std::strtoull(argv[++i], nullptr, 0);
+            ok = count(0, 1'000'000'000, cfg.queueCap);
         } else if (!std::strcmp(argv[i], "--arrival") && i + 1 < argc) {
             const char *kind = argv[++i];
             if (!std::strcmp(kind, "poisson")) {
@@ -130,53 +215,45 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (!std::strcmp(argv[i], "--rate") && i + 1 < argc) {
-            cfg.arrivals.ratePerSec = std::strtod(argv[++i], nullptr);
+            ok = real({0, 1e9, true}, 1, cfg.arrivals.ratePerSec);
         } else if (!std::strcmp(argv[i], "--clients") && i + 1 < argc) {
-            cfg.arrivals.clients = static_cast<uint32_t>(
-                std::strtoul(argv[++i], nullptr, 0));
+            ok = count(1, 1'000'000, cfg.arrivals.clients);
         } else if (!std::strcmp(argv[i], "--think-ms") && i + 1 < argc) {
-            cfg.arrivals.thinkNs = static_cast<uint64_t>(
-                std::strtod(argv[++i], nullptr) * 1e6);
+            ok = real({0, kMaxMs}, 1e6, cfg.arrivals.thinkNs);
         } else if (!std::strcmp(argv[i], "--diurnal")) {
             cfg.arrivals.diurnal = true;
         } else if (!std::strcmp(argv[i], "--day-ms") && i + 1 < argc) {
-            cfg.arrivals.dayNs = static_cast<uint64_t>(
-                std::strtod(argv[++i], nullptr) * 1e6);
+            ok = real({0, kMaxMs, true}, 1e6, cfg.arrivals.dayNs);
         } else if (!std::strcmp(argv[i], "--diurnal-amp")
                    && i + 1 < argc) {
-            cfg.arrivals.diurnalAmp = std::strtod(argv[++i], nullptr);
+            // The rate swings 1 +- amp; the engine caps amp at 0.95.
+            ok = real({0, 0.95}, 1, cfg.arrivals.diurnalAmp);
         } else if (!std::strcmp(argv[i], "--diurnal-steps")
                    && i + 1 < argc) {
-            cfg.arrivals.diurnalSteps = static_cast<uint32_t>(
-                std::strtoul(argv[++i], nullptr, 0));
+            ok = count(1, 1'000'000, cfg.arrivals.diurnalSteps);
         } else if (!std::strcmp(argv[i], "--no-batch")) {
             cfg.batch.enabled = false;
         } else if (!std::strcmp(argv[i], "--batch-max") && i + 1 < argc) {
-            cfg.batch.maxSize = static_cast<uint32_t>(
-                std::strtoul(argv[++i], nullptr, 0));
+            ok = count(1, 1'000'000, cfg.batch.maxSize);
         } else if (!std::strcmp(argv[i], "--batch-linger-us")
                    && i + 1 < argc) {
-            cfg.batch.lingerNs = static_cast<uint64_t>(
-                std::strtod(argv[++i], nullptr) * 1e3);
+            ok = real({0, kMaxMs * 1e3}, 1e3, cfg.batch.lingerNs);
         } else if (!std::strcmp(argv[i], "--batch-slack")
                    && i + 1 < argc) {
-            cfg.batch.deadlineSlack = std::strtod(argv[++i], nullptr);
+            ok = real({0, 1e6}, 1, cfg.batch.deadlineSlack);
         } else if (!std::strcmp(argv[i], "--batch-setup")
                    && i + 1 < argc) {
-            cfg.batch.setupFraction = std::strtod(argv[++i], nullptr);
+            ok = real({0, 0.5, false, true}, 1, cfg.batch.setupFraction);
         } else if (!std::strcmp(argv[i], "--chaos") && i + 1 < argc) {
-            cfg.chaos.percent = static_cast<uint32_t>(
-                std::strtoul(argv[++i], nullptr, 0));
+            ok = count(0, 100, cfg.chaos.percent);
         } else if (!std::strcmp(argv[i], "--deadline-factor")
                    && i + 1 < argc) {
-            cfg.deadlineFactor = std::strtod(argv[++i], nullptr);
+            ok = real({0, 1e6, true}, 1, cfg.deadlineFactor);
         } else if (!std::strcmp(argv[i], "--deadline-floor-ms")
                    && i + 1 < argc) {
-            cfg.deadlineFloorNs = static_cast<uint64_t>(
-                std::strtod(argv[++i], nullptr) * 1e6);
+            ok = real({0, kMaxMs}, 1e6, cfg.deadlineFloorNs);
         } else if (!std::strcmp(argv[i], "--retries") && i + 1 < argc) {
-            cfg.backoff.maxAttempts = static_cast<uint32_t>(
-                std::strtoul(argv[++i], nullptr, 0));
+            ok = count(1, 1000, cfg.backoff.maxAttempts);
         } else if (!std::strcmp(argv[i], "--no-warm")) {
             cfg.warmEvalCache = false;
         } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
@@ -187,7 +264,7 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--timeline") && i + 1 < argc) {
             timelinePath = argv[++i];
         } else if (!std::strcmp(argv[i], "--window-ms") && i + 1 < argc) {
-            num(windowMs);
+            ok = count(1, 1'000'000'000, windowMs);
         } else if (!std::strcmp(argv[i], "--slo") && i + 1 < argc) {
             sloPath = argv[++i];
         } else if (!std::strcmp(argv[i], "--flight-recorder")
@@ -199,12 +276,8 @@ main(int argc, char **argv)
             usage();
             return 2;
         }
-    }
-    if (cfg.requests == 0 || cfg.virtualWorkers == 0
-        || cfg.backoff.maxAttempts == 0 || cfg.chaos.percent > 100
-        || windowMs == 0) {
-        usage();
-        return 2;
+        if (!ok)
+            return 2;
     }
 
     BenchJournal::instance().begin(
