@@ -4,24 +4,19 @@
  *
  * Measures the host-side cost of the reproduction pipeline itself:
  *
- *  1. Pete's instruction throughput (MIPS) across the combinations of
- *     the three execution-speed layers -- the predecoded i-text
- *     (src/sim/predecode), the hot-block timing memo
- *     (src/sim/block_cache.hh) and the superblock trace tier
- *     (src/sim/superblock.hh) -- on the operand-scanning multiply
- *     kernel.  `--no-predecode` / `--no-block-cache` /
- *     `--no-superblock` drop a layer from the grid (they compose: all
- *     three flags leave only the fully slow configuration).  The grid
- *     is nominally 2x2x2, but the superblock tier flattens block-memo
- *     entries, so its two block-memo-off cells are structurally empty
- *     and are skipped;
- *  2. the wall-clock of a full prime-field design-space sweep, serial
- *     vs. the parallel SweepRunner, and again with a warm evaluation
- *     memo (ULECC_EVAL_CACHE semantics, see docs/PERFORMANCE.md).
+ *  1. Pete's instruction throughput (MIPS) on the k=17
+ *     operand-scanning multiply kernel (tools/mulos_k17.s), over
+ *     kTrials timed runs, reporting their median and minimum;
+ *  2. the wall-clock of a full prime-field design-space sweep, cold,
+ *     with the workload layer's kernel/trace memos warm, and with a
+ *     warm evaluation memo (ULECC_EVAL_CACHE semantics, see
+ *     docs/PERFORMANCE.md).
  *
- * The measured numbers are journaled as the sim_wall_seconds /
- * sim_mips / block_cache_hit_rate / block_cache_speedup /
- * superblock_hit_rate / superblock_speedup fields of the
+ * Usage: bench_simspeed [--serial]   (--serial runs the sweeps on one
+ * thread; the Pete runs are single-threaded either way)
+ *
+ * The measured numbers are journaled as the sim_trials / ulecc_jobs /
+ * sim_wall_seconds (median) / sim_wall_min_s / sim_mips fields of the
  * ulecc.bench.v1 record so perf regressions show up in telemetry
  * (tools/check.sh --bench compares a fresh journal line against the
  * committed BENCH_simspeed.json); the timings themselves are
@@ -29,9 +24,12 @@
  * covers the paper benches.
  */
 
+#include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <cstdio>
+#include <vector>
 
+#include "par/thread_pool.hh"
 #include "workload/asm_kernels.hh"
 
 #include "bench_util.hh"
@@ -50,83 +48,32 @@ now()
         .count();
 }
 
-struct SimSpeed
-{
-    double wallSeconds = 0;
-    double mips = 0;
-    uint64_t instructions = 0;
-    double blockHitRate = 0; ///< replays / lookups (0 with cache off)
-    double traceHitRate = 0; ///< trace-replayed insts / retired insts
-};
+/** Timed runs of the kernel: odd, so the median is one of them. */
+constexpr int kTrials = 5;
 
-/** Runs the k=17 operand-scanning multiply @p reps times. */
-SimSpeed
-measurePeteOnce(bool predecode, bool blockCache, bool superblock,
-                int reps)
+/** Kernel executions per timed run (~0.1 s of simulation). */
+constexpr int kReps = 2000;
+
+/** Runs the k=17 operand-scanning multiply kReps times; returns the
+ *  wall seconds and adds the retired instructions to @p instructions. */
+double
+measurePeteOnce(uint64_t &instructions)
 {
     Program program = assemble(kernelSource(AsmKernel::MulOs, 17));
     MpUint a = MpUint::powerOfTwo(543).sub(MpUint(12345));
     MpUint b = MpUint::powerOfTwo(541).add(MpUint(99));
-    SimSpeed speed;
-    uint64_t lookups = 0;
-    uint64_t replays = 0;
-    uint64_t traceInsts = 0;
+    instructions = 0;
     double t0 = now();
-    for (int rep = 0; rep < reps; ++rep) {
-        PeteConfig cfg;
-        cfg.predecode = predecode;
-        cfg.blockCache = blockCache;
-        cfg.superblock = superblock;
-        Pete cpu(program, cfg);
+    for (int rep = 0; rep < kReps; ++rep) {
+        Pete cpu(program);
         for (int i = 0; i < 34; ++i)
             cpu.mem().poke32(0x10000400 + 4 * i, a.limb(i));
         for (int i = 0; i < 17; ++i)
             cpu.mem().poke32(0x10000500 + 4 * i, b.limb(i));
         cpu.run();
-        speed.instructions += cpu.stats().instructions;
-        if (const BlockCacheStats *bc = cpu.blockCacheStats()) {
-            lookups += bc->lookups;
-            replays += bc->replays;
-        }
-        if (const SuperblockStats *sb = cpu.superblockStats())
-            traceInsts += sb->replayedInstructions;
+        instructions += cpu.stats().instructions;
     }
-    speed.wallSeconds = now() - t0;
-    speed.mips = speed.instructions / speed.wallSeconds / 1e6;
-    if (lookups)
-        speed.blockHitRate = double(replays) / double(lookups);
-    if (speed.instructions)
-        speed.traceHitRate =
-            double(traceInsts) / double(speed.instructions);
-    return speed;
-}
-
-/** Best of @p trials back-to-back measurements (minimum wall time).
- *  One measurement window is ~10-100 ms, short enough that scheduler
- *  noise on a busy host can halve a single reading; the minimum is
- *  the standard denoised estimate of the true cost. */
-SimSpeed
-measurePete(bool predecode, bool blockCache, bool superblock, int reps,
-            int trials = 5)
-{
-    SimSpeed best = measurePeteOnce(predecode, blockCache, superblock,
-                                    reps);
-    SimSpeed last = best;
-    for (int i = 1; i < trials; ++i) {
-        SimSpeed s = measurePeteOnce(predecode, blockCache, superblock,
-                                     reps);
-        if (s.wallSeconds < best.wallSeconds)
-            best = s;
-        last = s;
-    }
-    // Timing from the fastest trial, hit rates from the final one:
-    // the superblock trace registry is process-wide, so only the
-    // first trial pays cold builds, and which trial wins on wall
-    // time is host noise -- the final trial's rates are the warm
-    // steady state and are deterministic run to run.
-    best.blockHitRate = last.blockHitRate;
-    best.traceHitRate = last.traceHitRate;
-    return best;
+    return now() - t0;
 }
 
 /** Times one full prime-grid sweep. */
@@ -149,110 +96,29 @@ timeSweep(bool serial, bool clearEvalMemo)
     return now() - t0;
 }
 
-const char *
-configName(bool predecode, bool blockCache, bool superblock)
-{
-    if (superblock) {
-        return predecode ? "predecode + block memo + superblock"
-                         : "superblock, decode per retirement";
-    }
-    if (predecode && blockCache)
-        return "predecode + block memo";
-    if (predecode)
-        return "predecoded i-text";
-    if (blockCache)
-        return "block memo, decode per retirement";
-    return "decode per retirement";
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    SweepDriver sweep(argc, argv); // uniform CLI; drives nothing here
-    bool allowPredecode = true;
-    bool allowBlockCache = true;
-    bool allowSuperblock = true;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--no-predecode"))
-            allowPredecode = false;
-        if (!std::strcmp(argv[i], "--no-block-cache"))
-            allowBlockCache = false;
-        if (!std::strcmp(argv[i], "--no-superblock"))
-            allowSuperblock = false;
-    }
+    SweepDriver sweep(argc, argv);
     banner("Sim speed", "Pete throughput and sweep wall-clock");
 
-    // The measurement grid: every combination of the three layers
-    // that the flags allow, slowest first so each "Speedup" cell is
-    // relative to the fully slow configuration.  Superblock rows
-    // without the block memo are structurally empty (the trace
-    // builder flattens block-memo entries) and are skipped.
-    const int reps = 2000;
-    struct Row
-    {
-        bool predecode;
-        bool blockCache;
-        bool superblock;
-        SimSpeed speed;
-    };
-    std::vector<Row> rows;
-    for (bool superblock : {false, true}) {
-        if (superblock && (!allowSuperblock || !allowBlockCache))
-            continue;
-        for (bool blockCache : {false, true}) {
-            if (blockCache && !allowBlockCache)
-                continue;
-            if (superblock && !blockCache)
-                continue;
-            for (bool predecode : {false, true}) {
-                if (predecode && !allowPredecode)
-                    continue;
-                rows.push_back({predecode, blockCache, superblock,
-                                measurePete(predecode, blockCache,
-                                            superblock, reps)});
-            }
-        }
-    }
-    const SimSpeed &slow = rows.front().speed;
-    const SimSpeed &fast = rows.back().speed;
-    Table t({"Configuration", "Instructions", "Wall s", "MIPS",
-             "Speedup"});
-    for (const Row &row : rows) {
-        t.addRow({configName(row.predecode, row.blockCache,
-                             row.superblock),
-                  std::to_string(row.speed.instructions),
-                  fmt(row.speed.wallSeconds, 3), fmt(row.speed.mips, 1),
-                  fmt(slow.wallSeconds / row.speed.wallSeconds) + "x"});
-    }
+    // Every run retires the same instruction stream, so only the wall
+    // clock varies between trials.
+    uint64_t instructions = 0;
+    std::vector<double> wall;
+    for (int i = 0; i < kTrials; ++i)
+        wall.push_back(measurePeteOnce(instructions));
+    std::sort(wall.begin(), wall.end());
+    double median_s = wall[kTrials / 2];
+    double min_s = wall.front();
+    double mips = instructions / median_s / 1e6;
+    Table t({"Pete (MulOs k=17)", "Instructions", "Median s", "Min s",
+             "MIPS"});
+    t.addRow({"interpreter", std::to_string(instructions),
+              fmt(median_s, 3), fmt(min_s, 3), fmt(mips, 1)});
     t.print();
-    BenchJournal::instance().recordSimSpeed(fast.wallSeconds, fast.mips);
-
-    // The per-layer headlines the journal baseline tracks: each tier
-    // on vs. off with the layers beneath it held at the shipped
-    // default, plus the tier's hit rate on the kernel's steady state.
-    auto findRow = [&rows](bool pd, bool bc, bool sb) -> const Row * {
-        for (const Row &row : rows)
-            if (row.predecode == pd && row.blockCache == bc
-                && row.superblock == sb)
-                return &row;
-        return nullptr;
-    };
-    if (const Row *off = findRow(true, false, false)) {
-        if (const Row *on = findRow(true, true, false)) {
-            BenchJournal::instance().recordBlockCache(
-                on->speed.blockHitRate,
-                off->speed.wallSeconds / on->speed.wallSeconds);
-        }
-    }
-    if (const Row *off = findRow(true, true, false)) {
-        if (const Row *on = findRow(true, true, true)) {
-            BenchJournal::instance().recordSuperblock(
-                on->speed.traceHitRate,
-                off->speed.wallSeconds / on->speed.wallSeconds);
-        }
-    }
 
     // In-process serial-vs-parallel numbers would be misleading here:
     // whichever sweep runs first warms the mutex-guarded kernel/trace
@@ -272,12 +138,16 @@ main(int argc, char **argv)
               fmt(cold_s / memo_s, 1) + "x"});
     s.print();
 
+    unsigned jobs = sweep.serial() ? 1 : ThreadPool::defaultThreads();
+    std::printf("%d timed Pete runs of %d kernels each, MIPS from the "
+                "median; sweeps on %u worker thread(s)\n",
+                kTrials, kReps, jobs);
+    BenchJournal::instance().recordSimSpeed(kTrials, jobs, median_s,
+                                            min_s, mips);
+
     footnote("timings are host-dependent (exempt from byte-identity); "
              "the journal's sim_wall_seconds/sim_mips fields track the "
-             "fastest configuration measured, block_cache_hit_rate/"
-             "block_cache_speedup the memo's replay rate and on/off "
-             "throughput ratio, superblock_hit_rate/superblock_speedup "
-             "the trace tier's instruction residency and on/off ratio "
-             "over the predecode + block memo stack");
+             "median of the timed Pete runs, sim_wall_min_s the "
+             "fastest");
     return 0;
 }

@@ -217,30 +217,17 @@ BenchJournal::recordComparison(const VsPaper &v)
 }
 
 void
-BenchJournal::recordSimSpeed(double wallSeconds, double mips)
+BenchJournal::recordSimSpeed(int trials, unsigned jobs,
+                             double wallMedian, double wallMin,
+                             double mips)
 {
     if (!open_)
         return;
-    record_["sim_wall_seconds"] = wallSeconds;
+    record_["sim_trials"] = static_cast<int64_t>(trials);
+    record_["ulecc_jobs"] = static_cast<int64_t>(jobs);
+    record_["sim_wall_seconds"] = wallMedian;
+    record_["sim_wall_min_s"] = wallMin;
     record_["sim_mips"] = mips;
-}
-
-void
-BenchJournal::recordBlockCache(double hitRate, double speedup)
-{
-    if (!open_)
-        return;
-    record_["block_cache_hit_rate"] = hitRate;
-    record_["block_cache_speedup"] = speedup;
-}
-
-void
-BenchJournal::recordSuperblock(double hitRate, double speedup)
-{
-    if (!open_)
-        return;
-    record_["superblock_hit_rate"] = hitRate;
-    record_["superblock_speedup"] = speedup;
 }
 
 void

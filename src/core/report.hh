@@ -105,20 +105,13 @@ class BenchJournal
     /** Captures one ours-vs-paper comparison. */
     void recordComparison(const VsPaper &v);
 
-    /** Captures simulator throughput (bench_simspeed): wall-clock
-     * seconds spent simulating and retired-instruction MIPS. */
-    void recordSimSpeed(double wallSeconds, double mips);
-
-    /** Captures the block-timing memo's effectiveness
-     * (bench_simspeed): replay hit rate over block dispatches and the
-     * cache-on/cache-off throughput ratio. */
-    void recordBlockCache(double hitRate, double speedup);
-
-    /** Captures the superblock trace tier's effectiveness
-     * (bench_simspeed): the fraction of retired instructions replayed
-     * inside traces, and the superblock-on/off throughput ratio with
-     * the layers beneath it (predecode + block memo) held on. */
-    void recordSuperblock(double hitRate, double speedup);
+    /** Captures bench_simspeed's protocol and result: timed runs of
+     * the reference kernel, the worker threads its sweep table ran on
+     * ($ULECC_JOBS or the hardware width), the runs' median and
+     * minimum wall-clock seconds, and retired-instruction MIPS at the
+     * median. */
+    void recordSimSpeed(int trials, unsigned jobs, double wallMedian,
+                        double wallMin, double mips);
 
     /** Captures service-engine throughput (bench_svc): completed
      * requests per wall-clock second with telemetry off, and the

@@ -5,8 +5,6 @@
 
 #include "sim/cpu.hh"
 
-#include <cstdlib>
-
 #include "mpint/binary_field.hh" // clmul32 for the GF(2) extensions
 #include "sim/karatsuba_unit.hh"
 
@@ -78,33 +76,16 @@ Pete::Pete(const Program &program, const PeteConfig &config)
     : config_(config)
 {
     mem_.loadRom(program.words);
-    if (config_.predecode) {
-        // The text image is immutable from here on, so every static
-        // instruction is decoded exactly once instead of once per
-        // retirement (the dominant per-step cost for the asm-kernel
-        // anchoring runs).
-        predecoded_.reserve(program.words.size());
-        for (uint32_t word : program.words)
-            predecoded_.push_back(decode(word));
-    }
+    // Architectural stores cannot reach the text image, so every
+    // static instruction is decoded exactly once instead of once per
+    // retirement (the dominant per-step cost for the asm-kernel
+    // anchoring runs).
+    predecoded_.reserve(program.words.size());
+    for (uint32_t word : program.words)
+        predecoded_.push_back(decode(word));
     if (config_.icacheEnabled) {
         icache_ = std::make_unique<ICache>(config_.icache);
         icache_->invalidateAll();
-    }
-    if (config_.blockCache) {
-        BlockCacheMode mode =
-            parseBlockCacheMode(std::getenv("ULECC_BLOCK_CACHE"));
-        if (mode != BlockCacheMode::Off)
-            blockCache_ = std::make_unique<BlockCache>(mode);
-    }
-    if (blockCache_ && config_.superblock) {
-        // The trace tier sits above the block memo and needs it for
-        // block discovery and bailouts, so $ULECC_BLOCK_CACHE=off
-        // implies superblocks off too.
-        SuperblockMode mode =
-            parseSuperblockMode(std::getenv("ULECC_SUPERBLOCK"));
-        if (mode != SuperblockMode::Off)
-            superblock_ = std::make_unique<SuperblockCache>(mode);
     }
     predictor_.fill(1); // weakly not-taken
     // Bare-metal convention: stack at the top of RAM.
@@ -239,71 +220,25 @@ Pete::stepUnchecked()
     return !halted_;
 }
 
-namespace
-{
-
-/**
- * How many fast-path steps run between cycle-budget checks.  Every
- * step retires at least one cycle, so exhaustion is detected within
- * one interval of the exact step; the budget is a runaway guard
- * (default 500M cycles), not a precision timer, and the only
- * observable difference is how far past the limit a diverging program
- * coasts before Errc::SimTimeout surfaces.
- */
-constexpr int kBudgetCheckInterval = 256;
-
-} // namespace
-
 Result<uint64_t>
 Pete::runChecked()
 {
+    // The budget is checked at every instruction boundary on both
+    // paths, so a run stops at the same instruction with or without a
+    // hook.  A hook may stall the clock straight past the budget,
+    // which step() surfaces before the next instruction executes.
     try {
         if (hook_) {
-            // Observation/injection present: keep the exact per-step
-            // hook and budget semantics (the hook may stall the clock
-            // straight past the budget, which must surface before the
-            // next instruction executes).
             while (!halted_) {
                 if (budgetExhausted())
                     return budgetError();
                 step();
             }
-        } else if (superblock_) {
-            // Superblock trace tier (hook-free only): hot paths run as
-            // straight-line threaded code, everything else delegates
-            // to the block memo below.  The budget is polled here once
-            // per dispatch and by a looping trace at every back-edge,
-            // so a diverging program coasts at most one trace
-            // (SuperblockCache::kMaxTraceInsts) past the limit.
-            while (!halted_) {
-                if (budgetExhausted())
-                    return budgetError();
-                superblock_->run(*this);
-            }
-        } else if (blockCache_) {
-            // Block-memoized fast path (hook-free only): hot basic
-            // blocks retire as one memo lookup plus a lean
-            // architectural replay.  The budget is polled once per
-            // block, so a diverging program can coast at most one
-            // block (BlockCache::kMaxBlockLen + 1 instructions) past
-            // the limit -- tighter than the batched interval below.
-            while (!halted_) {
-                if (budgetExhausted())
-                    return budgetError();
-                blockCache_->runBlock(*this);
-            }
         } else {
-            // Hook-free fast path: the hook dispatch and the budget
-            // check are hoisted out of the per-step loop.  Cycle
-            // *accounting* is exact either way; only the budget poll
-            // is batched.
             while (!halted_) {
                 if (budgetExhausted())
                     return budgetError();
-                for (int i = 0; i < kBudgetCheckInterval; ++i) {
-                    if (!stepUnchecked())
-                        break;
-                }
+                stepUnchecked();
             }
         }
     } catch (const UleccError &e) {

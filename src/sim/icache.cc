@@ -5,17 +5,43 @@
 
 #include "sim/icache.hh"
 
-#include <cassert>
+#include <string>
+
+#include "base/error.hh"
 
 namespace ulecc
 {
 
+namespace
+{
+
+bool
+isPowerOfTwo(uint32_t v)
+{
+    return v != 0 && (v & (v - 1)) == 0;
+}
+
+/** The line count @p config describes, or InvalidInput. */
+uint32_t
+checkedLineCount(const ICacheConfig &config)
+{
+    if (!isPowerOfTwo(config.lineBytes)
+        || config.sizeBytes % config.lineBytes != 0
+        || !isPowerOfTwo(config.sizeBytes / config.lineBytes)) {
+        throw UleccError(Errc::InvalidInput,
+                         "ICache: " + std::to_string(config.sizeBytes)
+                         + " bytes in " + std::to_string(config.lineBytes)
+                         + "-byte lines is not a power-of-two line count");
+    }
+    return config.sizeBytes / config.lineBytes;
+}
+
+} // namespace
+
 ICache::ICache(const ICacheConfig &config)
-    : config_(config), lines_(config.sizeBytes / config.lineBytes),
+    : config_(config), lines_(checkedLineCount(config)),
       tags_(lines_, 0), valid_(lines_, false)
 {
-    assert(lines_ > 0 && (lines_ & (lines_ - 1)) == 0
-           && "line count must be a power of two");
 }
 
 void

@@ -27,9 +27,8 @@
  * diffuzz mpint oracle) -- and differs only in its timing schedule
  * and calibrated energy/area coefficients.  One MultiplierDesc per
  * variant is the SINGLE SOURCE of that contract: PeteConfig's default
- * latencies, KaratsubaTrace cycle counts, the block-cache/superblock
- * timing-context encodings, the kernel cost model's occupancy
- * formulas, and the eval-cache key all consume it.  Nothing may
+ * latencies, KaratsubaTrace cycle counts, the kernel cost model's
+ * occupancy formulas, and the eval-cache key all consume it.  Nothing may
  * hardcode a 4 again.
  */
 
@@ -99,16 +98,6 @@ multiplierDesc(MultiplierVariant v)
 /** The default design point (the paper's Karatsuba unit). */
 inline constexpr const MultiplierDesc &kKaratsubaDesc =
     kMultiplierDescs[0];
-
-/** Widest busy timer any variant can arm (sizes countdown encodings). */
-inline constexpr uint32_t kMaxMultiplierLatency = [] {
-    uint32_t m = 0;
-    for (const MultiplierDesc &d : kMultiplierDescs) {
-        for (uint32_t l : {d.multLatency, d.macLatency, d.gf2Latency})
-            m = l > m ? l : m;
-    }
-    return m;
-}();
 
 constexpr const char *
 multiplierVariantName(MultiplierVariant v)

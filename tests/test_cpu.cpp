@@ -405,6 +405,32 @@ TEST(Pete, Cop2WithoutCoprocessorThrows)
     EXPECT_THROW(cpu.run(), std::runtime_error);
 }
 
+TEST(ICache, ConstructorRejectsBadGeometry)
+{
+    // Release builds compile asserts out, so a zero or non-power-of-
+    // two line count must be a structured error, never a modulo by
+    // zero or a silently mis-indexed cache.
+    for (uint32_t bytes : {0u, 8u, 48u, 3072u}) {
+        ICacheConfig cfg;
+        cfg.sizeBytes = bytes;
+        try {
+            ICache cache(cfg);
+            ADD_FAILURE() << bytes << " bytes accepted";
+        } catch (const UleccError &e) {
+            EXPECT_EQ(e.code(), Errc::InvalidInput) << bytes;
+        }
+    }
+    ICacheConfig oddLine;
+    oddLine.lineBytes = 12;
+    EXPECT_THROW(ICache{oddLine}, UleccError);
+    for (uint32_t bytes : {16u, 1024u, 4096u}) {
+        ICacheConfig cfg;
+        cfg.sizeBytes = bytes;
+        ICache cache(cfg);
+        EXPECT_EQ(cache.lines(), bytes / 16);
+    }
+}
+
 namespace
 {
 
@@ -425,86 +451,6 @@ expectStatsEqual(const PeteStats &a, const PeteStats &b)
     EXPECT_EQ(a.multIssues, b.multIssues);
     EXPECT_EQ(a.divIssues, b.divIssues);
 }
-
-const char *kPredecodeWorkload = R"(
-        addiu $t0, $zero, 40
-        addiu $t1, $zero, 0
-        addiu $t2, $zero, 3
-    loop:
-        mult  $t2, $t2
-        mflo  $t3
-        addu  $t1, $t1, $t3
-        lui   $t4, 0x1000
-        sw    $t1, 0($t4)
-        lw    $t5, 0($t4)
-        addiu $t0, $t0, -1
-        bne   $t0, $zero, loop
-        nop
-        jal   leaf
-        nop
-        break
-    leaf:
-        jr    $ra
-        addiu $t6, $t6, 1
-)";
-
-} // namespace
-
-TEST(Predecode, StatsBitIdenticalOnLoopProgram)
-{
-    PeteConfig on, off;
-    on.predecode = true;
-    off.predecode = false;
-    Pete fast = runProgram(kPredecodeWorkload, on);
-    Pete slow = runProgram(kPredecodeWorkload, off);
-    expectStatsEqual(fast.stats(), slow.stats());
-    for (int r = 0; r < 32; ++r)
-        EXPECT_EQ(fast.reg(r), slow.reg(r)) << "reg " << r;
-    EXPECT_EQ(fast.hi(), slow.hi());
-    EXPECT_EQ(fast.lo(), slow.lo());
-}
-
-TEST(Predecode, StatsBitIdenticalWithIcache)
-{
-    PeteConfig on, off;
-    on.icacheEnabled = off.icacheEnabled = true;
-    on.icache.sizeBytes = off.icache.sizeBytes = 1024;
-    on.predecode = true;
-    off.predecode = false;
-    Pete fast = runProgram(kPredecodeWorkload, on);
-    Pete slow = runProgram(kPredecodeWorkload, off);
-    expectStatsEqual(fast.stats(), slow.stats());
-}
-
-TEST(Predecode, CorruptedTextIsRevalidated)
-{
-    // A particle strike on program text (no hook attached!) must not be
-    // served a stale predecoded entry: the cached raw word mismatches
-    // and the fetched word decodes on the spot.
-    const char *src = R"(
-        addiu $t0, $zero, 5
-        addiu $t1, $zero, 0
-        break
-    )";
-    auto run = [&](bool predecode) {
-        PeteConfig cfg;
-        cfg.predecode = predecode;
-        Pete cpu(assemble(src), cfg);
-        // Flip one immediate bit of the second instruction (pc = 4):
-        // addiu $t1, $zero, 0 becomes addiu $t1, $zero, 8.
-        cpu.mem().corrupt32(4, 0x8);
-        EXPECT_TRUE(cpu.run());
-        return cpu;
-    };
-    Pete fast = run(true);
-    Pete slow = run(false);
-    EXPECT_EQ(fast.reg(9), 8u); // the corrupted immediate took effect
-    EXPECT_EQ(slow.reg(9), 8u);
-    expectStatsEqual(fast.stats(), slow.stats());
-}
-
-namespace
-{
 
 /** Hook that counts steps and strikes text once at a given step. */
 class CorruptingHook : public StepHook
@@ -530,181 +476,68 @@ class CorruptingHook : public StepHook
     uint32_t mask_;
 };
 
-} // namespace
-
-TEST(Predecode, HookTakesSlowPathTransparently)
-{
-    // With a hook attached the predecoded i-text is bypassed entirely,
-    // so a mid-run strike on an already-executed instruction changes
-    // later iterations of the loop identically in both configurations.
-    const char *src = R"(
-        addiu $t0, $zero, 10
-        addiu $t1, $zero, 0
-    loop:
-        addiu $t1, $t1, 1
-        addiu $t0, $t0, -1
-        bne   $t0, $zero, loop
-        nop
-        break
-    )";
-    auto run = [&](bool predecode) {
-        PeteConfig cfg;
-        cfg.predecode = predecode;
-        Pete cpu(assemble(src), cfg);
-        // After ~3 loop iterations turn `addiu $t1, $t1, 1` (pc = 8)
-        // into `addiu $t1, $t1, 3`.
-        CorruptingHook hook(14, 8, 0x2);
-        cpu.attachStepHook(&hook);
-        EXPECT_TRUE(cpu.run());
-        EXPECT_GT(hook.steps(), 14u);
-        return cpu;
-    };
-    Pete fast = run(true);
-    Pete slow = run(false);
-    EXPECT_GT(fast.reg(9), 10u); // the strike inflated the counter
-    EXPECT_EQ(fast.reg(9), slow.reg(9));
-    expectStatsEqual(fast.stats(), slow.stats());
-}
-
-TEST(Predecode, TimeoutEquivalentOnFastAndSlowPaths)
-{
-    const char *src = R"(
-    spin:
-        beq $zero, $zero, spin
-        nop
-    )";
-    for (bool predecode : {true, false}) {
-        for (bool with_hook : {false, true}) {
-            PeteConfig cfg;
-            cfg.predecode = predecode;
-            cfg.maxCycles = 10'000;
-            Pete cpu(assemble(src), cfg);
-            CorruptingHook hook(1ull << 60, 0, 0); // never strikes
-            if (with_hook)
-                cpu.attachStepHook(&hook);
-            Result<uint64_t> r = cpu.runChecked();
-            ASSERT_FALSE(r.ok());
-            EXPECT_EQ(r.code(), Errc::SimTimeout);
-            // The batched fast-path check may overshoot by at most one
-            // check interval of single-cycle instructions.
-            EXPECT_GE(cpu.stats().cycles, cfg.maxCycles);
-            EXPECT_LT(cpu.stats().cycles, cfg.maxCycles + 512);
-        }
-    }
-}
-
-namespace
-{
-
-/** Scoped environment override (mirrors the test_par.cpp helper). */
-class EnvVar
+/** A hook that never touches the processor. */
+class NoopHook : public StepHook
 {
   public:
-    EnvVar(const char *name, const char *value) : name_(name)
-    {
-        if (const char *old = std::getenv(name)) {
-            hadOld_ = true;
-            old_ = old;
-        }
-        if (value)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-
-    ~EnvVar()
-    {
-        if (hadOld_)
-            setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool hadOld_ = false;
+    void onStep(Pete &) override {}
 };
 
-/** Runs @p src with the block cache on and off (all else equal) and
- *  expects bit-identical PeteStats and architectural state.  Returns
- *  the cache-on Pete for extra assertions. */
+/**
+ * The bit-identity contract: runs @p src plain (predecoded i-text)
+ * and with a no-op StepHook attached (decode every fetched word) and
+ * expects the same outcome -- a timeout included -- PeteStats and
+ * architectural state.  Returns the plain Pete for extra assertions.
+ */
 Pete
-expectCacheEquivalent(const std::string &src, PeteConfig base = {})
+expectHookedMatchesPlain(const std::string &src, PeteConfig cfg = {})
 {
-    PeteConfig on = base, off = base;
-    on.blockCache = true;
-    off.blockCache = false;
-    Pete fast(assemble(src), on);
-    Pete slow(assemble(src), off);
-    Result<uint64_t> rf = fast.runChecked();
-    Result<uint64_t> rs = slow.runChecked();
-    EXPECT_EQ(rf.ok(), rs.ok());
-    if (!rf.ok() && !rs.ok()) {
-        EXPECT_EQ(rf.code(), rs.code());
-        EXPECT_EQ(rf.error().context, rs.error().context);
+    NoopHook noop;
+    Pete plain(assemble(src), cfg);
+    Pete hooked(assemble(src), cfg);
+    hooked.attachStepHook(&noop);
+    Result<uint64_t> rp = plain.runChecked();
+    Result<uint64_t> rh = hooked.runChecked();
+    EXPECT_EQ(rp.ok(), rh.ok());
+    if (!rp.ok() && !rh.ok()) {
+        EXPECT_EQ(rp.code(), rh.code());
+        EXPECT_EQ(rp.error().context, rh.error().context);
     }
-    expectStatsEqual(fast.stats(), slow.stats());
+    expectStatsEqual(plain.stats(), hooked.stats());
     for (int r = 0; r < 32; ++r)
-        EXPECT_EQ(fast.reg(r), slow.reg(r)) << "reg " << r;
-    EXPECT_EQ(fast.hi(), slow.hi());
-    EXPECT_EQ(fast.lo(), slow.lo());
-    EXPECT_EQ(fast.ovflo(), slow.ovflo());
-    EXPECT_EQ(fast.pc(), slow.pc());
-    return fast;
+        EXPECT_EQ(plain.reg(r), hooked.reg(r)) << "reg " << r;
+    EXPECT_EQ(plain.hi(), hooked.hi());
+    EXPECT_EQ(plain.lo(), hooked.lo());
+    EXPECT_EQ(plain.ovflo(), hooked.ovflo());
+    EXPECT_EQ(plain.pc(), hooked.pc());
+    return plain;
 }
 
-} // namespace
-
-TEST(BlockCache, StatsBitIdenticalOnLoopProgram)
-{
-    Pete fast = expectCacheEquivalent(kPredecodeWorkload);
-    const BlockCacheStats *bc = fast.blockCacheStats();
-    ASSERT_NE(bc, nullptr);
-    EXPECT_GT(bc->replays, 0u); // the loop actually took the memo
-    EXPECT_GT(bc->replayedInstructions, 0u);
-}
-
-TEST(BlockCache, StatsBitIdenticalWithIcache)
-{
-    PeteConfig cfg;
-    cfg.icacheEnabled = true;
-    cfg.icache.sizeBytes = 1024;
-    Pete fast = expectCacheEquivalent(kPredecodeWorkload, cfg);
-    const BlockCacheStats *bc = fast.blockCacheStats();
-    ASSERT_NE(bc, nullptr);
-    EXPECT_GT(bc->replays, 0u); // resident lines still replay
-}
-
-TEST(BlockCache, MultCountdownCrossesBlockBoundary)
-{
-    // The multiply issues in the jump's delay slot, so the busy
-    // countdown is live when the next block's MFLO interlocks on it:
-    // the entry-context key (not the static block) must carry it.
-    expectCacheEquivalent(R"(
-        addiu $t0, $zero, 30
+const char *kPredecodeWorkload = R"(
+        addiu $t0, $zero, 40
         addiu $t1, $zero, 0
-        addiu $t2, $zero, 7
+        addiu $t2, $zero, 3
     loop:
-        j     body
-        mult  $t2, $t0
-    body:
+        mult  $t2, $t2
         mflo  $t3
         addu  $t1, $t1, $t3
+        lui   $t4, 0x1000
+        sw    $t1, 0($t4)
+        lw    $t5, 0($t4)
         addiu $t0, $t0, -1
         bne   $t0, $zero, loop
         nop
+        jal   leaf
+        nop
         break
-    )");
-}
+    leaf:
+        jr    $ra
+        addiu $t6, $t6, 1
+)";
 
-namespace
-{
-
-// The countdown-crossing workload shared by the multiplier-variant
-// regressions: the multiply issues in the jump's delay slot, so the
-// busy countdown is live at the next block's entry and its width is
-// variant-dependent.
+// The multiply issues in the jump's delay slot, so the busy countdown
+// is live when the next basic block's MFLO interlocks on it, and its
+// width is multiplier-variant dependent.
 constexpr const char *kMultCrossingWorkload = R"(
         addiu $t0, $zero, 30
         addiu $t1, $zero, 0
@@ -721,34 +554,12 @@ constexpr const char *kMultCrossingWorkload = R"(
         break
     )";
 
-} // namespace
-
-TEST(BlockCache, SixCycleMultiplierCountdownStaysExact)
+// The inner branch alternates taken/not-taken with the counter's
+// parity, so the bimodal predictor keeps mispredicting.
+std::string
+alternatingBranchWorkload(int iterations)
 {
-    // A 6-cycle variant (karatsuba2) widens the live countdown past
-    // what the old 200-cap key packing assumed; the entry-context key
-    // must still carry it exactly -- bit-identical stats on vs off,
-    // and MORE mult-busy stalls than the 4-cycle default, never a
-    // corrupted count.
-    PeteConfig cfg;
-    applyMultiplier(cfg, MultiplierVariant::Karatsuba2);
-    ASSERT_EQ(cfg.multLatency, 6u);
-    Pete slow6 = expectCacheEquivalent(kMultCrossingWorkload, cfg);
-    Pete dflt = expectCacheEquivalent(kMultCrossingWorkload);
-    EXPECT_GT(slow6.stats().multBusyStalls,
-              dflt.stats().multBusyStalls);
-    EXPECT_EQ(slow6.stats().instructions, dflt.stats().instructions);
-    EXPECT_EQ(slow6.lo(), dflt.lo()); // timing only, same arithmetic
-    EXPECT_EQ(slow6.hi(), dflt.hi());
-}
-
-TEST(BlockCache, DataDependentBranchDirections)
-{
-    // The inner branch alternates taken/not-taken with the counter's
-    // parity, so the bimodal predictor keeps mispredicting; replay
-    // resolves it against the live predictor, never from the memo.
-    expectCacheEquivalent(R"(
-        addiu $t0, $zero, 40
+    return "        addiu $t0, $zero, " + std::to_string(iterations) + R"(
         addiu $t1, $zero, 0
     loop:
         andi  $t3, $t0, 1
@@ -761,14 +572,222 @@ TEST(BlockCache, DataDependentBranchDirections)
         bne   $t0, $zero, loop
         nop
         break
-    )");
+    )";
+}
+
+// A counted loop the cycle budget can pause inside; the 7th word
+// (`addiu $t6, $zero, 1`) runs only after the loop.
+constexpr const char *kPausableLoop = R"(
+        addiu $t0, $zero, 4000
+        addiu $t1, $zero, 0
+    loop:
+        addiu $t1, $t1, 1
+        addiu $t0, $t0, -1
+        bne   $t0, $zero, loop
+        nop
+        addiu $t6, $zero, 1
+        break
+    )";
+
+/**
+ * Pauses kPausableLoop on the cycle budget mid-loop, strikes the
+ * post-loop `addiu $t6, $zero, 1` into `..., 9` through the
+ * fault-injection backdoor, and resumes -- plain and hooked, which
+ * pause at the same instruction.
+ */
+void
+expectTextStrikeAfterPauseMatches(PeteConfig cfg)
+{
+    auto run = [&](bool withHook, uint32_t &pausePc) {
+        NoopHook noop;
+        cfg.maxCycles = 2'000; // pauses well inside the loop
+        Pete cpu(assemble(kPausableLoop), cfg);
+        if (withHook)
+            cpu.attachStepHook(&noop);
+        Result<uint64_t> paused = cpu.runChecked();
+        EXPECT_FALSE(paused.ok());
+        EXPECT_EQ(paused.code(), Errc::SimTimeout);
+        pausePc = cpu.pc();
+        cpu.mem().corrupt32(6 * 4, 0x8);
+        cpu.setMaxCycles(500'000'000);
+        EXPECT_TRUE(cpu.run());
+        cpu.attachStepHook(nullptr);
+        return cpu;
+    };
+    uint32_t plainPause = 0, hookedPause = 0;
+    Pete plain = run(false, plainPause);
+    Pete hooked = run(true, hookedPause);
+    EXPECT_EQ(plainPause, hookedPause);
+    expectStatsEqual(plain.stats(), hooked.stats());
+    EXPECT_EQ(plain.reg(14), 9u); // the strike's immediate took effect
+    EXPECT_EQ(hooked.reg(14), 9u);
+    for (int r = 0; r < 32; ++r)
+        EXPECT_EQ(plain.reg(r), hooked.reg(r)) << "reg " << r;
+}
+
+/** Runs a diverging loop into a 10k-cycle budget on both paths;
+ *  returns the cycle count at which Errc::SimTimeout surfaced. */
+uint64_t
+timeoutCycles(const char *src, PeteConfig cfg = {})
+{
+    cfg.maxCycles = 10'000;
+    Pete cpu = expectHookedMatchesPlain(src, cfg);
+    EXPECT_FALSE(cpu.halted());
+    EXPECT_GE(cpu.stats().cycles, cfg.maxCycles);
+    return cpu.stats().cycles;
+}
+
+constexpr const char *kSpin = R"(
+    spin:
+        beq $zero, $zero, spin
+        nop
+    )";
+
+} // namespace
+
+// ---------------------------------------------------------------------
+// Bit identity: the plain interpreter against the hooked reference.
+// The BlockCache.* and Superblock.* suites keep the names of the
+// retired execution tiers' tests; each now pins the interpreter rule
+// its program was written to stress.
+
+TEST(Predecode, StatsBitIdenticalOnLoopProgram)
+{
+    expectHookedMatchesPlain(kPredecodeWorkload);
+}
+
+TEST(Predecode, StatsBitIdenticalWithIcache)
+{
+    PeteConfig cfg;
+    cfg.icacheEnabled = true;
+    cfg.icache.sizeBytes = 1024;
+    expectHookedMatchesPlain(kPredecodeWorkload, cfg);
+}
+
+TEST(Predecode, CorruptedTextIsRevalidated)
+{
+    // A particle strike on program text (no hook attached!) must not be
+    // served a stale predecoded entry: the cached raw word mismatches
+    // and the fetched word decodes on the spot.
+    const char *src = R"(
+        addiu $t0, $zero, 5
+        addiu $t1, $zero, 0
+        break
+    )";
+    auto run = [&](bool withHook) {
+        NoopHook noop;
+        Pete cpu(assemble(src));
+        if (withHook)
+            cpu.attachStepHook(&noop);
+        // Flip one immediate bit of the second instruction (pc = 4):
+        // addiu $t1, $zero, 0 becomes addiu $t1, $zero, 8.
+        cpu.mem().corrupt32(4, 0x8);
+        EXPECT_TRUE(cpu.run());
+        cpu.attachStepHook(nullptr);
+        return cpu;
+    };
+    Pete plain = run(false);
+    Pete hooked = run(true);
+    EXPECT_EQ(plain.reg(9), 8u); // the corrupted immediate took effect
+    EXPECT_EQ(hooked.reg(9), 8u);
+    expectStatsEqual(plain.stats(), hooked.stats());
+}
+
+TEST(Predecode, HookTakesSlowPathTransparently)
+{
+    // With a hook attached every fetched word is decoded afresh, so a
+    // mid-run strike on an already-executed instruction changes the
+    // later loop iterations -- and only the arithmetic, never timing.
+    const char *src = R"(
+        addiu $t0, $zero, 10
+        addiu $t1, $zero, 0
+    loop:
+        addiu $t1, $t1, 1
+        addiu $t0, $t0, -1
+        bne   $t0, $zero, loop
+        nop
+        break
+    )";
+    Pete plain = runProgram(src);
+    Pete struck(assemble(src));
+    // Before step 14 (the 4th iteration's first word) turn
+    // `addiu $t1, $t1, 1` (pc = 8) into `addiu $t1, $t1, 3`.
+    CorruptingHook hook(14, 8, 0x2);
+    struck.attachStepHook(&hook);
+    EXPECT_TRUE(struck.run());
+    EXPECT_EQ(hook.steps(), struck.stats().instructions);
+    EXPECT_EQ(plain.reg(9), 10u);
+    EXPECT_EQ(struck.reg(9), 3 * 1 + 7 * 3u);
+    expectStatsEqual(plain.stats(), struck.stats());
+}
+
+TEST(Predecode, TimeoutEquivalentOnFastAndSlowPaths)
+{
+    // Both paths stop at the first instruction boundary at or past
+    // the budget: the same instruction, the same error, the same
+    // stats.
+    EXPECT_LT(timeoutCycles(kSpin), 10'000u + 2);
+}
+
+TEST(BlockCache, StatsBitIdenticalOnLoopProgram)
+{
+    // Every multiplier design point: the variant changes the unit's
+    // occupancy (and so the interlocks), never the arithmetic.
+    Pete dflt = expectHookedMatchesPlain(kPredecodeWorkload);
+    for (int i = 0; i < kMultiplierVariantCount; ++i) {
+        MultiplierVariant v = static_cast<MultiplierVariant>(i);
+        PeteConfig cfg;
+        applyMultiplier(cfg, v);
+        Pete cpu = expectHookedMatchesPlain(kPredecodeWorkload, cfg);
+        EXPECT_EQ(cpu.reg(9), dflt.reg(9)) << multiplierVariantName(v);
+    }
+}
+
+TEST(BlockCache, StatsBitIdenticalWithIcache)
+{
+    // Line fills interleave with the live multiplier countdown.
+    PeteConfig cfg;
+    cfg.icacheEnabled = true;
+    cfg.icache.sizeBytes = 1024;
+    cfg.icache.prefetch = true;
+    Pete cpu = expectHookedMatchesPlain(kMultCrossingWorkload, cfg);
+    EXPECT_GT(cpu.stats().icacheStalls, 0u);
+}
+
+TEST(BlockCache, MultCountdownCrossesBlockBoundary)
+{
+    Pete cpu = expectHookedMatchesPlain(kMultCrossingWorkload);
+    EXPECT_GT(cpu.stats().multBusyStalls, 0u);
+}
+
+TEST(BlockCache, SixCycleMultiplierCountdownStaysExact)
+{
+    // A 6-cycle variant (karatsuba2) widens the live countdown: more
+    // mult-busy stalls than the 4-cycle default, same arithmetic.
+    PeteConfig cfg;
+    applyMultiplier(cfg, MultiplierVariant::Karatsuba2);
+    ASSERT_EQ(cfg.multLatency, 6u);
+    Pete slow6 = expectHookedMatchesPlain(kMultCrossingWorkload, cfg);
+    Pete dflt = expectHookedMatchesPlain(kMultCrossingWorkload);
+    EXPECT_GT(slow6.stats().multBusyStalls,
+              dflt.stats().multBusyStalls);
+    EXPECT_EQ(slow6.stats().instructions, dflt.stats().instructions);
+    EXPECT_EQ(slow6.lo(), dflt.lo()); // timing only, same arithmetic
+    EXPECT_EQ(slow6.hi(), dflt.hi());
+}
+
+TEST(BlockCache, DataDependentBranchDirections)
+{
+    Pete cpu = expectHookedMatchesPlain(alternatingBranchWorkload(40));
+    EXPECT_EQ(cpu.reg(9), 40u + 20 * 100);
+    EXPECT_GT(cpu.stats().branchMispredicts, 20u);
 }
 
 TEST(BlockCache, JrLoopReplays)
 {
     // A call loop: JAL enters the leaf, JR returns through a
-    // register target; both are block terminators resolved live.
-    Pete fast = expectCacheEquivalent(R"(
+    // register target and pays the jump bubble every iteration.
+    Pete cpu = expectHookedMatchesPlain(R"(
         addiu $t0, $zero, 25
         addiu $t1, $zero, 0
     loop:
@@ -782,18 +801,16 @@ TEST(BlockCache, JrLoopReplays)
         jr    $ra
         addiu $t1, $t1, 2
     )");
-    ASSERT_NE(fast.blockCacheStats(), nullptr);
-    EXPECT_GT(fast.blockCacheStats()->replays, 0u);
-    EXPECT_EQ(fast.reg(9), 50u);
+    EXPECT_EQ(cpu.reg(9), 50u);
+    EXPECT_EQ(cpu.stats().jumpStalls, 25u);
 }
 
 TEST(BlockCache, StoreToTextFaultsInsideReplayedBlock)
 {
-    // Iteration 1 stores to RAM (and records the block); iteration 2
-    // replays the same block and the store lands on program text,
-    // which must fault out of the lean replay with the slow path's
-    // exact message, stats, and architectural state.
-    expectCacheEquivalent(R"(
+    // Iteration 1 stores to RAM; iteration 2 runs the same loop body
+    // and the store lands on program text, which must fault with the
+    // same message, stats and architectural state on both paths.
+    Pete cpu = expectHookedMatchesPlain(R"(
         lui   $t4, 0x1000
         addiu $t4, $t4, 0x10
         lui   $t7, 0x1000
@@ -808,138 +825,42 @@ TEST(BlockCache, StoreToTextFaultsInsideReplayedBlock)
         nop
         break
     )");
+    EXPECT_FALSE(cpu.halted());
+    EXPECT_EQ(cpu.reg(9), 1u);
 }
 
 TEST(BlockCache, TextStrikeInvalidatesMemoizedBlock)
 {
-    // Pause the run mid-loop on the cycle budget, strike the
-    // post-loop text through the fault-injection backdoor, and
-    // resume: the loop block's memo entry is stale (text generation
-    // moved) and must be dropped and re-recorded, and the corrupted
-    // instruction must take effect -- identically with the cache off.
+    expectTextStrikeAfterPauseMatches({});
+}
+
+TEST(BlockCache, HookForcesSlowPathTransparently)
+{
+    // A hook sees exactly one boundary per retired instruction, and
+    // observing alone changes nothing.
     const char *src = R"(
-        addiu $t0, $zero, 4000
+        addiu $t0, $zero, 10
         addiu $t1, $zero, 0
     loop:
         addiu $t1, $t1, 1
         addiu $t0, $t0, -1
         bne   $t0, $zero, loop
         nop
-        addiu $t6, $zero, 1
         break
     )";
-    auto run = [&](bool blockCache) {
-        PeteConfig cfg;
-        cfg.blockCache = blockCache;
-        cfg.maxCycles = 2'000; // pauses well inside the loop
-        Pete cpu(assemble(src), cfg);
-        Result<uint64_t> paused = cpu.runChecked();
-        EXPECT_FALSE(paused.ok());
-        EXPECT_EQ(paused.code(), Errc::SimTimeout);
-        // Flip `addiu $t6, $zero, 1` (7th word) into `..., 9`.  The
-        // pause point may differ by a few instructions between the
-        // two configurations, but both are still inside the loop, so
-        // the executed instruction stream is identical either way.
-        cpu.mem().corrupt32(6 * 4, 0x8);
-        cfg.maxCycles = 500'000'000;
-        cpu.setMaxCycles(cfg.maxCycles);
-        EXPECT_TRUE(cpu.run());
-        return cpu;
-    };
-    Pete fast = run(true);
-    Pete slow = run(false);
-    expectStatsEqual(fast.stats(), slow.stats());
-    EXPECT_EQ(fast.reg(14), 9u); // the strike's immediate took effect
-    EXPECT_EQ(slow.reg(14), 9u);
-    for (int r = 0; r < 32; ++r)
-        EXPECT_EQ(fast.reg(r), slow.reg(r)) << "reg " << r;
-    ASSERT_NE(fast.blockCacheStats(), nullptr);
-    EXPECT_GE(fast.blockCacheStats()->invalidations, 1u);
-}
-
-TEST(BlockCache, HookForcesSlowPathTransparently)
-{
-    // Any attached StepHook keeps runChecked on the exact per-step
-    // loop: the memo must see no traffic at all, and a mid-run text
-    // strike behaves identically with the cache compiled in or out.
-    auto run = [&](bool blockCache) {
-        PeteConfig cfg;
-        cfg.blockCache = blockCache;
-        Pete cpu(assemble(R"(
-            addiu $t0, $zero, 10
-            addiu $t1, $zero, 0
-        loop:
-            addiu $t1, $t1, 1
-            addiu $t0, $t0, -1
-            bne   $t0, $zero, loop
-            nop
-            break
-        )"),
-                 cfg);
-        CorruptingHook hook(14, 8, 0x2);
-        cpu.attachStepHook(&hook);
-        EXPECT_TRUE(cpu.run());
-        return cpu;
-    };
-    Pete fast = run(true);
-    Pete slow = run(false);
-    expectStatsEqual(fast.stats(), slow.stats());
-    EXPECT_EQ(fast.reg(9), slow.reg(9));
-    ASSERT_NE(fast.blockCacheStats(), nullptr);
-    EXPECT_EQ(fast.blockCacheStats()->lookups, 0u);
-    EXPECT_EQ(fast.blockCacheStats()->replays, 0u);
-}
-
-TEST(BlockCache, EnvParseNeverErrors)
-{
-    // Direct parses: the documented values, then hostile ones, which
-    // must degrade to the default (On) -- the ULECC_JOBS contract.
-    EXPECT_EQ(parseBlockCacheMode(nullptr), BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode(""), BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode("1"), BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode("on"), BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode("0"), BlockCacheMode::Off);
-    EXPECT_EQ(parseBlockCacheMode("off"), BlockCacheMode::Off);
-    EXPECT_EQ(parseBlockCacheMode("verify"), BlockCacheMode::Verify);
-    EXPECT_EQ(parseBlockCacheMode("shadow"), BlockCacheMode::Verify);
-    EXPECT_EQ(parseBlockCacheMode("ON"), BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode("bogus"), BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode("99999999999999999999"),
-              BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode("-1"), BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode("off "), BlockCacheMode::On);
-}
-
-TEST(BlockCache, HostileEnvValuesRunIdentically)
-{
-    // Whatever $ULECC_BLOCK_CACHE says, simulated behaviour is
-    // bit-identical; only the simulator's own path choice may change.
-    PeteConfig off;
-    off.blockCache = false;
-    Pete reference = runProgram(kPredecodeWorkload, off);
-    for (const char *value :
-         {"", "1", "on", "ON", "0", "off", "verify", "shadow", "bogus",
-          "99999999999999999999"}) {
-        EnvVar env("ULECC_BLOCK_CACHE", value);
-        Pete cpu = runProgram(kPredecodeWorkload);
-        expectStatsEqual(cpu.stats(), reference.stats());
-        for (int r = 0; r < 32; ++r)
-            EXPECT_EQ(cpu.reg(r), reference.reg(r))
-                << "reg " << r << " under value '" << value << "'";
-    }
+    Pete plain = runProgram(src);
+    Pete observed(assemble(src));
+    CorruptingHook hook(1ull << 60, 0, 0); // never strikes
+    observed.attachStepHook(&hook);
+    EXPECT_TRUE(observed.run());
+    EXPECT_EQ(hook.steps(), observed.stats().instructions);
+    expectStatsEqual(plain.stats(), observed.stats());
+    EXPECT_EQ(plain.reg(9), observed.reg(9));
 }
 
 TEST(BlockCache, ShadowVerifyModeCleanOnLoopProgram)
 {
-    EnvVar env("ULECC_BLOCK_CACHE", "verify");
-    // Keep the hot loop on the block memo: with the superblock tier
-    // enabled the trace would absorb the steady-state dispatches and
-    // the sampled shadow check below would never fire.
-    EnvVar sbEnv("ULECC_SUPERBLOCK", "off");
-    PeteConfig cfg;
-    // A long enough loop that the sampled shadow check (every 64th
-    // memo hit) actually fires several times.
-    Pete cpu = runProgram(R"(
+    Pete cpu = expectHookedMatchesPlain(R"(
         addiu $t0, $zero, 1000
         addiu $t1, $zero, 0
     loop:
@@ -948,75 +869,33 @@ TEST(BlockCache, ShadowVerifyModeCleanOnLoopProgram)
         bne   $t0, $zero, loop
         nop
         break
-    )",
-                          cfg);
-    ASSERT_NE(cpu.blockCacheStats(), nullptr);
-    EXPECT_EQ(cpu.blockCacheMode(), BlockCacheMode::Verify);
-    EXPECT_GT(cpu.blockCacheStats()->shadowVerifies, 0u);
+    )");
     EXPECT_EQ(cpu.reg(9), 1000u);
 }
 
 TEST(BlockCache, TimeoutOvershootBounded)
 {
-    const char *src = R"(
+    // A spin whose every pass interlocks on the multiplier: the
+    // overshoot is at most one instruction's cycles.
+    EXPECT_LT(timeoutCycles(R"(
     spin:
-        beq $zero, $zero, spin
+        mult  $t0, $t0
+        mflo  $t1
+        beq   $zero, $zero, spin
         nop
-    )";
-    PeteConfig cfg;
-    cfg.maxCycles = 10'000;
-    Pete cpu(assemble(src), cfg);
-    Result<uint64_t> r = cpu.runChecked();
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.code(), Errc::SimTimeout);
-    // The budget is polled once per block dispatch, so the overshoot
-    // is bounded by one block plus its delay slot.
-    EXPECT_GE(cpu.stats().cycles, cfg.maxCycles);
-    EXPECT_LT(cpu.stats().cycles, cfg.maxCycles + 512);
+    )"),
+              10'000u + 8);
 }
-
-namespace
-{
-
-/** Runs @p src with the superblock trace tier on and off (the block
- *  memo it flattens stays on) and expects bit-identical PeteStats and
- *  architectural state.  Returns the tier-on Pete for extra
- *  assertions. */
-Pete
-expectSuperblockEquivalent(const std::string &src, PeteConfig base = {})
-{
-    PeteConfig on = base, off = base;
-    on.superblock = true;
-    off.superblock = false;
-    Pete fast(assemble(src), on);
-    Pete slow(assemble(src), off);
-    Result<uint64_t> rf = fast.runChecked();
-    Result<uint64_t> rs = slow.runChecked();
-    EXPECT_EQ(rf.ok(), rs.ok());
-    if (!rf.ok() && !rs.ok()) {
-        EXPECT_EQ(rf.code(), rs.code());
-        EXPECT_EQ(rf.error().context, rs.error().context);
-    }
-    expectStatsEqual(fast.stats(), slow.stats());
-    for (int r = 0; r < 32; ++r)
-        EXPECT_EQ(fast.reg(r), slow.reg(r)) << "reg " << r;
-    EXPECT_EQ(fast.hi(), slow.hi());
-    EXPECT_EQ(fast.lo(), slow.lo());
-    EXPECT_EQ(fast.ovflo(), slow.ovflo());
-    EXPECT_EQ(fast.pc(), slow.pc());
-    return fast;
-}
-
-} // namespace
 
 TEST(Superblock, StatsBitIdenticalOnLoopProgram)
 {
-    Pete fast = expectSuperblockEquivalent(kPredecodeWorkload);
-    const SuperblockStats *sb = fast.superblockStats();
-    ASSERT_NE(sb, nullptr);
-    EXPECT_GT(sb->traceRuns, 0u); // the loop actually ran threaded
-    EXPECT_GT(sb->replayedInstructions, 0u);
-    EXPECT_GT(sb->loopIterations, 0u); // back-edges stayed in-trace
+    // A 32-byte cache (two lines) thrashes on the three-line loop:
+    // every pass refills a line, on both paths alike.
+    PeteConfig cfg;
+    cfg.icacheEnabled = true;
+    cfg.icache.sizeBytes = 32;
+    Pete cpu = expectHookedMatchesPlain(kPredecodeWorkload, cfg);
+    EXPECT_GT(cpu.stats().icacheStalls, 40u * 3);
 }
 
 TEST(Superblock, StatsBitIdenticalWithIcache)
@@ -1024,85 +903,77 @@ TEST(Superblock, StatsBitIdenticalWithIcache)
     PeteConfig cfg;
     cfg.icacheEnabled = true;
     cfg.icache.sizeBytes = 1024;
-    Pete fast = expectSuperblockEquivalent(kPredecodeWorkload, cfg);
-    const SuperblockStats *sb = fast.superblockStats();
-    ASSERT_NE(sb, nullptr);
-    EXPECT_GT(sb->traceRuns, 0u); // resident lines still run threaded
+    cfg.icache.prefetch = true;
+    expectHookedMatchesPlain(kPredecodeWorkload, cfg);
 }
 
 TEST(Superblock, SixCycleMultiplierTraceTierStaysExact)
 {
-    // Same regression one tier up: traces compile the variant's
-    // per-op occupancy into TraceOp.aux and the registry key folds
-    // the variant, so a karatsuba2 run must stay bit-identical to
-    // its own slow path and stall more than the default.
-    PeteConfig cfg;
-    applyMultiplier(cfg, MultiplierVariant::Karatsuba2);
-    Pete slow6 = expectSuperblockEquivalent(kMultCrossingWorkload, cfg);
-    Pete dflt = expectSuperblockEquivalent(kMultCrossingWorkload);
-    EXPECT_GT(slow6.stats().multBusyStalls,
-              dflt.stats().multBusyStalls);
-    EXPECT_EQ(slow6.stats().instructions, dflt.stats().instructions);
-    EXPECT_EQ(slow6.lo(), dflt.lo());
-    EXPECT_EQ(slow6.hi(), dflt.hi());
+    // The countdown crossing under every multiplier design point.
+    Pete dflt = expectHookedMatchesPlain(kMultCrossingWorkload);
+    for (int i = 0; i < kMultiplierVariantCount; ++i) {
+        MultiplierVariant v = static_cast<MultiplierVariant>(i);
+        PeteConfig cfg;
+        applyMultiplier(cfg, v);
+        Pete cpu = expectHookedMatchesPlain(kMultCrossingWorkload, cfg);
+        EXPECT_EQ(cpu.lo(), dflt.lo()) << multiplierVariantName(v);
+        EXPECT_EQ(cpu.stats().instructions, dflt.stats().instructions);
+    }
 }
 
 TEST(Superblock, DataDependentBranchDirections)
 {
-    // The inner branch alternates with the counter's parity, so the
-    // trace's baked-in direction is wrong every other pass: the live
-    // predictor decides, the wrong passes take the side exit with the
-    // exact slow-path state, and the right ones stay in-trace.
-    Pete fast = expectSuperblockEquivalent(R"(
-        addiu $t0, $zero, 200
+    // Both halves of the signed branch family on a counter that
+    // crosses zero: BLEZ/BGTZ/BLTZ/BGEZ resolve against live values.
+    Pete cpu = expectHookedMatchesPlain(R"(
+        addiu $t0, $zero, 20
         addiu $t1, $zero, 0
     loop:
-        andi  $t3, $t0, 1
-        beq   $t3, $zero, even
+        blez  $t0, neg
+        nop
+        addiu $t1, $t1, 1
+    neg:
+        bgez  $t0, next
         nop
         addiu $t1, $t1, 100
-    even:
-        addiu $t1, $t1, 1
+    next:
         addiu $t0, $t0, -1
-        bne   $t0, $zero, loop
+        slti  $t2, $t0, -20
+        beq   $t2, $zero, loop
         nop
         break
     )");
-    const SuperblockStats *sb = fast.superblockStats();
-    ASSERT_NE(sb, nullptr);
-    EXPECT_GT(sb->exitsSideBranch, 0u);
+    EXPECT_EQ(cpu.reg(9), 20u + 20 * 100);
 }
 
 TEST(Superblock, MultCountdownCrossesTraceEntry)
 {
-    // The multiply issues in the jump's delay slot, so the busy
-    // countdown is live at the next trace's entry: the executor's
-    // multReadyCycle_ carry-in/carry-out must be exact.
-    expectSuperblockEquivalent(R"(
+    // The MAC issues in a call's delay slot and the callee reads Hi
+    // straight away: the countdown crosses the JAL and the JR.
+    Pete cpu = expectHookedMatchesPlain(R"(
         addiu $t0, $zero, 30
-        addiu $t1, $zero, 0
-        addiu $t2, $zero, 7
+        addiu $t2, $zero, -1
     loop:
-        j     body
-        mult  $t2, $t0
-    body:
-        mflo  $t3
-        addu  $t1, $t1, $t3
+        jal   leaf
+        maddu $t2, $t2
         addiu $t0, $t0, -1
         bne   $t0, $zero, loop
         nop
         break
+    leaf:
+        mfhi  $t3
+        jr    $ra
+        addu  $t1, $t1, $t3
     )");
+    EXPECT_GT(cpu.stats().multBusyStalls, 0u);
 }
 
 TEST(Superblock, MidTraceFaultReconstructsExactState)
 {
     // The store address descends 4 bytes per iteration: a dozen clean
-    // RAM stores make the loop hot and in-trace, then the address
-    // drops below the RAM base and the same store record faults
-    // mid-trace.  The bailout must reconstruct the slow path's exact
-    // fault message, stats, and architectural state.
-    Pete fast = expectSuperblockEquivalent(R"(
+    // RAM stores, then the address drops below the RAM base and the
+    // same store faults with the exact message, stats and state.
+    Pete cpu = expectHookedMatchesPlain(R"(
         lui   $t4, 0x1000
         addiu $t4, $t4, 48
         addiu $t0, $zero, 64
@@ -1116,63 +987,24 @@ TEST(Superblock, MidTraceFaultReconstructsExactState)
         nop
         break
     )");
-    const SuperblockStats *sb = fast.superblockStats();
-    ASSERT_NE(sb, nullptr);
-    EXPECT_EQ(sb->exitsFault, 1u); // the fault really struck in-trace
+    EXPECT_FALSE(cpu.halted());
+    EXPECT_EQ(cpu.reg(9), 13u);
 }
 
 TEST(Superblock, TextStrikeInvalidatesLiveTrace)
 {
-    // Pause the run mid-loop on the cycle budget, strike the
-    // post-loop text through the fault-injection backdoor, and
-    // resume: the loop's trace is stale (text generation moved) and
-    // must be dropped and rebuilt, and the corrupted instruction must
-    // take effect -- identically with the tier off.
-    const char *src = R"(
-        addiu $t0, $zero, 4000
-        addiu $t1, $zero, 0
-    loop:
-        addiu $t1, $t1, 1
-        addiu $t0, $t0, -1
-        bne   $t0, $zero, loop
-        nop
-        addiu $t6, $zero, 1
-        break
-    )";
-    auto run = [&](bool superblock) {
-        PeteConfig cfg;
-        cfg.superblock = superblock;
-        cfg.maxCycles = 2'000; // pauses well inside the loop
-        Pete cpu(assemble(src), cfg);
-        Result<uint64_t> paused = cpu.runChecked();
-        EXPECT_FALSE(paused.ok());
-        EXPECT_EQ(paused.code(), Errc::SimTimeout);
-        // Flip `addiu $t6, $zero, 1` (7th word) into `..., 9`.
-        cpu.mem().corrupt32(6 * 4, 0x8);
-        cfg.maxCycles = 500'000'000;
-        cpu.setMaxCycles(cfg.maxCycles);
-        EXPECT_TRUE(cpu.run());
-        return cpu;
-    };
-    Pete fast = run(true);
-    Pete slow = run(false);
-    expectStatsEqual(fast.stats(), slow.stats());
-    EXPECT_EQ(fast.reg(14), 9u); // the strike's immediate took effect
-    EXPECT_EQ(slow.reg(14), 9u);
-    for (int r = 0; r < 32; ++r)
-        EXPECT_EQ(fast.reg(r), slow.reg(r)) << "reg " << r;
-    const SuperblockStats *sb = fast.superblockStats();
-    ASSERT_NE(sb, nullptr);
-    EXPECT_GE(sb->invalidations, 1u);
-    EXPECT_GE(sb->tracesBuilt, 2u); // rebuilt after the strike
+    // The same pause-strike-resume with the I-cache modelled: the
+    // struck word is fetched through a line that may be resident.
+    PeteConfig cfg;
+    cfg.icacheEnabled = true;
+    cfg.icache.sizeBytes = 1024;
+    expectTextStrikeAfterPauseMatches(cfg);
 }
 
 TEST(Superblock, RegistrySharesTracesAcrossInstances)
 {
-    // Two Petes over the same (unique) program text: the first builds
-    // the hot loop's trace and publishes it; the second must adopt it
-    // from the process-wide registry without building anything, and
-    // still match the tier-off run bit for bit.
+    // Two Petes over the same program text share nothing: the second
+    // run matches the first bit for bit.
     const char *src = R"(
         addiu $t0, $zero, 977
         addiu $t1, $zero, 0
@@ -1184,107 +1016,24 @@ TEST(Superblock, RegistrySharesTracesAcrossInstances)
         nop
         break
     )";
-    Pete first = expectSuperblockEquivalent(src);
-    const SuperblockStats *sb1 = first.superblockStats();
-    ASSERT_NE(sb1, nullptr);
-    EXPECT_GE(sb1->tracesBuilt + sb1->sharedAdoptions, 1u);
-    Pete second = expectSuperblockEquivalent(src);
-    const SuperblockStats *sb2 = second.superblockStats();
-    ASSERT_NE(sb2, nullptr);
-    EXPECT_EQ(sb2->tracesBuilt, 0u);
-    EXPECT_GE(sb2->sharedAdoptions, 1u);
-}
-
-TEST(Superblock, EnvParseNeverErrors)
-{
-    // Direct parses: the documented values, then hostile ones, which
-    // must degrade to the default (On) -- the ULECC_JOBS contract.
-    EXPECT_EQ(parseSuperblockMode(nullptr), SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode(""), SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode("1"), SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode("on"), SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode("0"), SuperblockMode::Off);
-    EXPECT_EQ(parseSuperblockMode("off"), SuperblockMode::Off);
-    EXPECT_EQ(parseSuperblockMode("verify"), SuperblockMode::Verify);
-    EXPECT_EQ(parseSuperblockMode("shadow"), SuperblockMode::Verify);
-    EXPECT_EQ(parseSuperblockMode("ON"), SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode("bogus"), SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode("99999999999999999999"),
-              SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode("-1"), SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode("off "), SuperblockMode::On);
-}
-
-TEST(Superblock, HostileEnvValuesRunIdentically)
-{
-    // Whatever $ULECC_SUPERBLOCK says, simulated behaviour is
-    // bit-identical; only the simulator's own path choice may change.
-    PeteConfig off;
-    off.superblock = false;
-    Pete reference = runProgram(kPredecodeWorkload, off);
-    for (const char *value :
-         {"", "1", "on", "ON", "0", "off", "verify", "shadow", "bogus",
-          "99999999999999999999"}) {
-        EnvVar env("ULECC_SUPERBLOCK", value);
-        Pete cpu = runProgram(kPredecodeWorkload);
-        expectStatsEqual(cpu.stats(), reference.stats());
-        for (int r = 0; r < 32; ++r)
-            EXPECT_EQ(cpu.reg(r), reference.reg(r))
-                << "reg " << r << " under value '" << value << "'";
-    }
+    Pete first = expectHookedMatchesPlain(src);
+    Pete second = expectHookedMatchesPlain(src);
+    expectStatsEqual(first.stats(), second.stats());
+    EXPECT_EQ(first.reg(9), 3u * 977);
+    EXPECT_EQ(first.reg(10), second.reg(10));
 }
 
 TEST(Superblock, ShadowVerifyModeCleanOnAlternatingProgram)
 {
-    // The alternating branch forces a trace re-entry per iteration,
-    // so the sampled shadow check (every 32nd trace run) fires
-    // several times over 400 iterations.  A clean program must sail
-    // through with exact stats; any executor/slow-path divergence
-    // would throw Errc::Internal here.
-    const char *src = R"(
-        addiu $t0, $zero, 400
-        addiu $t1, $zero, 0
-    loop:
-        andi  $t3, $t0, 1
-        beq   $t3, $zero, even
-        nop
-        addiu $t1, $t1, 100
-    even:
-        addiu $t1, $t1, 1
-        addiu $t0, $t0, -1
-        bne   $t0, $zero, loop
-        nop
-        break
-    )";
-    PeteConfig off;
-    off.superblock = false;
-    Pete reference = runProgram(src, off);
-    EnvVar env("ULECC_SUPERBLOCK", "verify");
-    Pete cpu = runProgram(src);
-    ASSERT_NE(cpu.superblockStats(), nullptr);
-    EXPECT_EQ(cpu.superblockMode(), SuperblockMode::Verify);
-    EXPECT_GT(cpu.superblockStats()->shadowVerifies, 0u);
-    expectStatsEqual(cpu.stats(), reference.stats());
-    for (int r = 0; r < 32; ++r)
-        EXPECT_EQ(cpu.reg(r), reference.reg(r)) << "reg " << r;
+    Pete cpu = expectHookedMatchesPlain(alternatingBranchWorkload(400));
+    EXPECT_EQ(cpu.reg(9), 400u + 200 * 100);
 }
 
 TEST(Superblock, TimeoutOvershootBounded)
 {
-    const char *src = R"(
-    spin:
-        beq $zero, $zero, spin
-        nop
-    )";
+    // The same with the I-cache modelled (the spin stays resident).
     PeteConfig cfg;
-    cfg.superblock = true;
-    cfg.maxCycles = 10'000;
-    Pete cpu(assemble(src), cfg);
-    Result<uint64_t> r = cpu.runChecked();
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.code(), Errc::SimTimeout);
-    // The budget is polled at every trace back-edge, so the overshoot
-    // is bounded by one pass through the trace.
-    EXPECT_GE(cpu.stats().cycles, cfg.maxCycles);
-    EXPECT_LT(cpu.stats().cycles, cfg.maxCycles + 512);
+    cfg.icacheEnabled = true;
+    cfg.icache.sizeBytes = 1024;
+    EXPECT_LT(timeoutCycles(kSpin, cfg), 10'000u + 2);
 }

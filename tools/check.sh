@@ -2,6 +2,9 @@
 # One-command verification loop: build both presets, run the test
 # suites, exercise the telemetry producers, and validate every emitted
 # JSON document against the checked-in schemas in tools/schemas/.
+# Along the way it requires ulecc-run's metrics to be identical with
+# and without --profile: Pete's hooked reference path against its
+# plain interpreter.
 #
 # Usage: tools/check.sh [--no-asan] [--no-tsan] [--diffuzz N] [--bench]
 #                       [--soak]
@@ -17,10 +20,10 @@
 # --serial/parallel execution.
 #
 # --bench additionally runs bench_simspeed, validates its journal
-# record, and compares sim_mips / block_cache_hit_rate /
-# block_cache_speedup / superblock_hit_rate / superblock_speedup
-# against the committed BENCH_simspeed.json baseline.  Timings are host-dependent, so a slowdown merely warns
-# unless it exceeds 25%; hit rate is deterministic and checked tight.
+# record, and compares sim_mips / sim_wall_seconds (the median of its
+# timed Pete runs) against the committed BENCH_simspeed.json baseline.
+# Timings are host-dependent, so a slowdown merely warns unless it
+# exceeds 25%.
 # It also runs bench_svc and compares svc_requests_per_sec /
 # svc_telemetry_overhead against BENCH_svc.json the same way, so
 # observability overhead regressions are caught.
@@ -77,10 +80,8 @@ fi
 
 if [[ $run_tsan -eq 1 ]]; then
     # ThreadSanitizer covers the concurrency layer: the thread pool,
-    # the parallel sweep runner, the evaluation memo, the predecode /
-    # block-memo / superblock fast paths they all drive (test_par --
-    # the sweeps hammer the process-wide superblock trace registry
-    # from every worker), and the multi-threaded service engine
+    # the parallel sweep runner, the evaluation memo, the Pete runs
+    # they all drive (test_par), and the multi-threaded service engine
     # (test_svc).  The serial suites add nothing under TSan, so only
     # the concurrent tests run here.
     step "configure + build (tsan preset)"
@@ -89,7 +90,7 @@ if [[ $run_tsan -eq 1 ]]; then
 
     step "test (tsan preset: parallel suites)"
     ctest --preset tsan -j "$(nproc)" \
-        -R '^(ThreadPool|Sweep|EvalCache|BenchSweep|Predecode|BlockCache|Superblock|Svc)'
+        -R '^(ThreadPool|Sweep|EvalCache|BenchSweep|Predecode|Svc)'
 fi
 
 json_check="$repo/build/tools/json_check"
@@ -106,31 +107,32 @@ step "telemetry: ulecc-run metrics + trace"
     "$work/run_metrics.json"
 "$json_check" "$schemas/trace.schema.json" "$work/trace.json"
 
-step "superblock: PeteStats identical tier on vs off (reference kernel)"
-"$repo/build/tools/ulecc-run" --metrics "$work/sb_on.json" \
+step "pete: metrics identical hooked (--profile) vs plain (reference kernel)"
+# --profile attaches a StepHook, which puts Pete on its decode-every-
+# step reference path; without it the predecoded interpreter runs.
+"$repo/build/tools/ulecc-run" --metrics "$work/pete_plain.json" \
     "$repo/tools/mulos_k17.s" > /dev/null
-"$repo/build/tools/ulecc-run" --no-superblock \
-    --metrics "$work/sb_off.json" "$repo/tools/mulos_k17.s" > /dev/null
-python3 - "$work/sb_on.json" "$work/sb_off.json" <<'EOF'
+"$repo/build/tools/ulecc-run" --profile \
+    --metrics "$work/pete_hooked.json" "$repo/tools/mulos_k17.s" > /dev/null
+python3 - "$work/pete_plain.json" "$work/pete_hooked.json" <<'EOF'
 import json, sys
 
-# The trace tier may only change how fast the host simulates, never
-# what it simulates: with the host-dependent wall-clock fields and the
-# simulator-internal cache sections stripped, the two metrics
-# documents must be byte-identical.
+# The two paths may differ only in how fast the host simulates, never
+# in what it simulates: with the host-dependent wall-clock fields and
+# the profile section (present only with --profile) stripped, the two
+# metrics documents must be byte-identical.
 docs = [json.load(open(p)) for p in sys.argv[1:3]]
 for d in docs:
-    for key in ("sim_wall_seconds", "sim_mips", "block_cache",
-                "superblock"):
+    for key in ("sim_wall_seconds", "sim_mips", "profile"):
         d.pop(key, None)
-on, off = (json.dumps(d, sort_keys=True, indent=1) for d in docs)
-if on != off:
-    print("FAIL: architectural metrics differ superblock on vs off")
-    for a, b in zip(on.splitlines(), off.splitlines()):
+plain, hooked = (json.dumps(d, sort_keys=True, indent=1) for d in docs)
+if plain != hooked:
+    print("FAIL: architectural metrics differ plain vs hooked")
+    for a, b in zip(plain.splitlines(), hooked.splitlines()):
         if a != b:
-            print(f"  on:  {a}\n  off: {b}")
+            print(f"  plain:  {a}\n  hooked: {b}")
     sys.exit(1)
-print("ok:   architectural metrics identical superblock on vs off")
+print("ok:   architectural metrics identical plain vs hooked")
 EOF
 
 step "telemetry: bench journal (zero-change JSONL capture)"
@@ -201,23 +203,7 @@ def timing(name, higher_is_better=True):
         fail = True
 
 timing("sim_mips")
-timing("block_cache_speedup")
-timing("superblock_speedup")
 timing("sim_wall_seconds", higher_is_better=False)
-
-# The hit rates are deterministic (same kernel, same block/trace
-# structure), so any drift means a tier stopped covering the steady
-# state.
-for name in ("block_cache_hit_rate", "superblock_hit_rate"):
-    b, f = base.get(name), fresh.get(name)
-    if b is None or f is None:
-        print(f"FAIL: {name} missing")
-        fail = True
-    elif abs(f - b) > 1e-9:
-        print(f"FAIL: {name} {f} != baseline {b}")
-        fail = True
-    else:
-        print(f"ok:   {name} {f:.4f}")
 
 sys.exit(1 if fail else 0)
 EOF

@@ -9,7 +9,8 @@
  *   --seed N      base seed (default 1); each target derives its own
  *                 stream from (seed, name), so runs are bit-identical
  *                 at a fixed seed
- *   --cases N     generated cases per target (default 10000)
+ *   --cases N     generated cases per target (default 10000, at most
+ *                 100000000)
  *   --target T    run only the named target(s) (default: all four)
  *   --corpus DIR  write one replayable .case file per failure
  *   --replay F    replay corpus file(s) instead of fuzzing
@@ -18,14 +19,21 @@
  *                 tests/golden)
  *   --list        print the target names and exit
  *
+ * Numbers are parsed strictly (tools/arg_parse.hh): "--cases abc" or
+ * "--cases -1" exits 2 with "bad value" instead of checking nothing.
+ *
  * Exit status: 0 all checks passed, 1 any mismatch (or missing golden
  * vectors while the ecdsa target is selected), 2 usage error.
  */
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "arg_parse.hh"
 
 #include "check/diffuzz.hh"
 #include "check/oracles.hh"
@@ -40,6 +48,9 @@ using namespace ulecc::check;
 
 namespace
 {
+
+/** --cases ceiling: a typo must not ask for a run that never ends. */
+constexpr uint64_t kMaxCases = 100'000'000;
 
 int
 usage(const char *argv0)
@@ -90,12 +101,21 @@ main(int argc, char **argv)
             const char *v = value("--seed");
             if (!v)
                 return usage(argv[0]);
-            opts.seed = std::strtoull(v, nullptr, 10);
+            std::optional<uint64_t> n = tools::parseCount(
+                "diffuzz", "--seed", v, 0,
+                std::numeric_limits<uint64_t>::max());
+            if (!n)
+                return 2;
+            opts.seed = *n;
         } else if (arg == "--cases") {
             const char *v = value("--cases");
             if (!v)
                 return usage(argv[0]);
-            opts.cases = std::strtoull(v, nullptr, 10);
+            std::optional<uint64_t> n = tools::parseCount(
+                "diffuzz", "--cases", v, 1, kMaxCases);
+            if (!n)
+                return 2;
+            opts.cases = *n;
         } else if (arg == "--target") {
             const char *v = value("--target");
             if (!v)

@@ -35,14 +35,18 @@
  * The run is fully deterministic in --seed: no wall clock, no
  * platform randomness.  The summary is printed as JSON on stdout
  * (the "ulecc.fault_campaign.v1" schema from fault/campaign_summary).
+ * --seed and --campaigns are parsed strictly (tools/arg_parse.hh):
+ * "--campaigns 10x" exits 2 with "bad value" instead of running 10.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <limits>
+#include <optional>
 #include <string>
 
+#include "arg_parse.hh"
 #include "asmkit/assembler.hh"
 #include "ecdsa/ecdh.hh"
 #include "ecdsa/ecdsa.hh"
@@ -322,9 +326,19 @@ main(int argc, char **argv)
     bool verbose = false;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 0);
+            std::optional<uint64_t> n = tools::parseCount(
+                "fault_campaign", "--seed", argv[++i], 0,
+                std::numeric_limits<uint64_t>::max());
+            if (!n)
+                return 2;
+            seed = *n;
         } else if (!std::strcmp(argv[i], "--campaigns") && i + 1 < argc) {
-            campaigns = std::strtoull(argv[++i], nullptr, 0);
+            std::optional<uint64_t> n = tools::parseCount(
+                "fault_campaign", "--campaigns", argv[++i], 1,
+                100'000'000);
+            if (!n)
+                return 2;
+            campaigns = *n;
         } else if (!std::strcmp(argv[i], "--verbose")) {
             verbose = true;
         } else {

@@ -43,9 +43,6 @@
  * usage or I/O error.
  */
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,6 +51,7 @@
 #include <string>
 #include <type_traits>
 
+#include "arg_parse.hh"
 #include "core/report.hh"
 #include "obs/metrics.hh"
 #include "par/thread_pool.hh"
@@ -86,52 +84,6 @@ usage()
         "               [--slo PATH] [--flight-recorder PATH]\n");
 }
 
-/** Allowed values of a real option; an open end excludes its bound. */
-struct RealRange
-{
-    double lo, hi;
-    bool openLo = false;
-    bool openHi = false;
-};
-
-/**
- * Strict real parse: the whole of @p text must be one finite number
- * inside @p r (strtod alone accepts "nan", "-1" and "10x").
- */
-std::optional<double>
-parseReal(const char *text, RealRange r)
-{
-    if (!*text || std::isspace(static_cast<unsigned char>(*text)))
-        return std::nullopt;
-    char *end = nullptr;
-    errno = 0;
-    double v = std::strtod(text, &end);
-    if (*end != '\0' || errno == ERANGE || !std::isfinite(v))
-        return std::nullopt;
-    if (v < r.lo || (r.openLo && v == r.lo) || v > r.hi
-        || (r.openHi && v == r.hi))
-        return std::nullopt;
-    return v;
-}
-
-/**
- * Strict unsigned parse (decimal, or 0x-hex as before): the whole of
- * @p text must be one integer in [lo, hi]; a sign is rejected (strtoull
- * wraps "-1" to 2^64 - 1).
- */
-std::optional<uint64_t>
-parseUnsigned(const char *text, uint64_t lo, uint64_t hi)
-{
-    if (!std::isdigit(static_cast<unsigned char>(*text)))
-        return std::nullopt;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text, &end, 0);
-    if (*end != '\0' || errno == ERANGE || v < lo || v > hi)
-        return std::nullopt;
-    return v;
-}
-
 } // namespace
 
 int
@@ -149,23 +101,20 @@ main(int argc, char **argv)
     constexpr double kMaxMs = 1e12; // ms values become uint64_t ns
     for (int i = 1; i < argc; ++i) {
         auto badValue = [&](const std::string &want) {
-            std::fprintf(stderr,
-                         "svc_run: bad value '%s' for %s (want %s)\n",
-                         argv[i], argv[i - 1], want.c_str());
+            tools::reportBadValue("svc_run", argv[i - 1], argv[i], want);
             return false;
         };
         // Each reads the value argv[++i] into out, or reports it.
         auto count = [&](uint64_t lo, uint64_t hi, auto &out) {
-            std::optional<uint64_t> v = parseUnsigned(argv[++i], lo, hi);
-            if (!v) {
-                return badValue("an integer in [" + std::to_string(lo)
-                                + ", " + std::to_string(hi) + "]");
-            }
+            std::optional<uint64_t> v =
+                tools::parseUnsigned(argv[++i], lo, hi);
+            if (!v)
+                return badValue(tools::integerRange(lo, hi));
             out = static_cast<std::remove_reference_t<decltype(out)>>(*v);
             return true;
         };
-        auto real = [&](RealRange r, double scale, auto &out) {
-            std::optional<double> v = parseReal(argv[++i], r);
+        auto real = [&](tools::RealRange r, double scale, auto &out) {
+            std::optional<double> v = tools::parseReal(argv[++i], r);
             if (!v) {
                 char want[96];
                 std::snprintf(want, sizeof want, "a number in %c%g, %g%c",

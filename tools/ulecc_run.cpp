@@ -12,14 +12,6 @@
  *                    (karatsuba | schoolbook | karatsuba2 | clmulwide;
  *                    timing/energy only -- results are identical)
  *     --max-cycles N cycle budget (default 500M)
- *     --no-predecode decode at every retirement (the pre-fast-path
- *                    behaviour; for simulator-speed A/B runs)
- *     --no-block-cache
- *                    disable the hot-block timing memo (same A/B use;
- *                    also reachable via ULECC_BLOCK_CACHE=off)
- *     --no-superblock
- *                    disable the superblock trace tier (same A/B use;
- *                    also reachable via ULECC_SUPERBLOCK=off)
  *     --dump A N     after halt, hex-dump N words from address A
  *     --energy       print the energy estimate for the run
  *     --trace FILE   write a Chrome trace-event JSON of the pipeline
@@ -28,17 +20,24 @@
  *
  * The program sees the paper's memory map: 256 KB ROM at 0x0,
  * 16 KB RAM at 0x10000000; execution ends at `break`.
+ *
+ * Numeric option values are parsed strictly (tools/arg_parse.hh): the
+ * I-cache size must be a power of two from 1 to 256 KB, a --dump
+ * address word-aligned, and every value one whole number; anything
+ * else exits 2 with "bad value" on stderr.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
+#include "arg_parse.hh"
 #include "accel/billie.hh"
 #include "accel/monte.hh"
 #include "asmkit/assembler.hh"
@@ -61,12 +60,10 @@ usage()
                  "usage: ulecc-run [--icache KB] [--prefetch] [--monte] "
                  "[--billie]\n"
                  "                 [--multiplier VARIANT] "
-                 "[--max-cycles N] [--no-predecode]\n"
-                 "                 [--no-block-cache] [--no-superblock] "
-                 "[--dump ADDR WORDS]\n"
-                 "                 [--energy] [--trace FILE] [--profile] "
-                 "[--metrics FILE]\n"
-                 "                 program.s\n");
+                 "[--max-cycles N]\n"
+                 "                 [--dump ADDR WORDS] [--energy] "
+                 "[--trace FILE] [--profile]\n"
+                 "                 [--metrics FILE] program.s\n");
 }
 
 /** The run's activity, in the power model's terms. */
@@ -134,10 +131,29 @@ main(int argc, char **argv)
     const char *trace_path = nullptr;
     const char *metrics_path = nullptr;
 
+    constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
     for (int i = 1; i < argc; ++i) {
+        // Each reads the value argv[++i] into out, or reports it.
+        auto count = [&](const char *option, uint64_t lo, uint64_t hi,
+                         auto &out) {
+            std::optional<uint64_t> v =
+                tools::parseCount("ulecc-run", option, argv[++i], lo, hi);
+            if (v)
+                out = static_cast<std::remove_reference_t<decltype(out)>>(*v);
+            return v.has_value();
+        };
         if (!std::strcmp(argv[i], "--icache") && i + 1 < argc) {
+            // The ROM is 256 KB, so a larger cache could never fill.
+            std::optional<uint64_t> kb =
+                tools::parseUnsigned(argv[i + 1], 1, 256);
+            if (!kb || (*kb & (*kb - 1)) != 0) {
+                tools::reportBadValue("ulecc-run", argv[i], argv[i + 1],
+                                      "a power of two in [1, 256] KB");
+                return 2;
+            }
+            ++i;
             config.icacheEnabled = true;
-            config.icache.sizeBytes = 1024u * std::atoi(argv[++i]);
+            config.icache.sizeBytes = 1024u * static_cast<uint32_t>(*kb);
         } else if (!std::strcmp(argv[i], "--prefetch")) {
             config.icache.prefetch = true;
         } else if (!std::strcmp(argv[i], "--monte")) {
@@ -157,16 +173,19 @@ main(int argc, char **argv)
             applyMultiplier(config, v);
         } else if (!std::strcmp(argv[i], "--max-cycles")
                    && i + 1 < argc) {
-            config.maxCycles = std::strtoull(argv[++i], nullptr, 0);
-        } else if (!std::strcmp(argv[i], "--no-predecode")) {
-            config.predecode = false;
-        } else if (!std::strcmp(argv[i], "--no-block-cache")) {
-            config.blockCache = false;
-        } else if (!std::strcmp(argv[i], "--no-superblock")) {
-            config.superblock = false;
+            if (!count("--max-cycles", 0, kU64Max, config.maxCycles))
+                return 2;
         } else if (!std::strcmp(argv[i], "--dump") && i + 2 < argc) {
-            dump_addr = std::strtoul(argv[++i], nullptr, 0);
-            dump_words = std::strtoul(argv[++i], nullptr, 0);
+            if (!count("--dump", 0, 0xFFFFFFFC, dump_addr))
+                return 2;
+            if (dump_addr % 4 != 0) {
+                tools::reportBadValue("ulecc-run", "--dump", argv[i],
+                                      "a word-aligned address");
+                return 2;
+            }
+            // At most the ROM's 64 Ki words, the largest mapped region.
+            if (!count("--dump", 0, 65536, dump_words))
+                return 2;
         } else if (!std::strcmp(argv[i], "--energy")) {
             energy = true;
         } else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc) {
@@ -272,35 +291,6 @@ main(int argc, char **argv)
                         100.0 * ic.missRate(),
                         (unsigned long)ic.prefetchHits);
         }
-        if (const BlockCacheStats *bc = cpu.blockCacheStats()) {
-            std::printf("block cache: %lu replays / %lu dispatches "
-                        "(%.1f%% hit), %lu recorded, %lu slow walks\n",
-                        (unsigned long)bc->replays,
-                        (unsigned long)bc->lookups,
-                        100.0 * bc->hitRate(),
-                        (unsigned long)bc->records,
-                        (unsigned long)bc->slowWalks);
-        }
-        if (const SuperblockStats *sb = cpu.superblockStats()) {
-            std::printf("superblock: %lu trace runs / %lu dispatches "
-                        "(%.1f%% hit), %lu built (avg %.1f insts), "
-                        "%lu insts replayed\n",
-                        (unsigned long)sb->traceRuns,
-                        (unsigned long)sb->dispatches,
-                        100.0 * sb->hitRate(),
-                        (unsigned long)sb->tracesBuilt,
-                        sb->avgTraceLength(),
-                        (unsigned long)sb->replayedInstructions);
-            std::printf("superblock exits: %lu side-branch, %lu "
-                        "trace-end, %lu budget, %lu fault; fallbacks: "
-                        "%lu cold, %lu residency\n",
-                        (unsigned long)sb->exitsSideBranch,
-                        (unsigned long)sb->exitsTraceEnd,
-                        (unsigned long)sb->exitsBudget,
-                        (unsigned long)sb->exitsFault,
-                        (unsigned long)sb->fallbackCold,
-                        (unsigned long)sb->fallbackResidency);
-        }
         if (use_monte) {
             std::printf("monte: %lu mul, %lu add/sub, FFAU %lu cy, "
                         "DMA %lu cy, %lu forwarded loads\n",
@@ -372,48 +362,6 @@ main(int argc, char **argv)
                 ic["accesses"] = cpu.icache()->stats().accesses;
                 ic["miss_rate"] = cpu.icache()->stats().missRate();
                 reg.set("icache", std::move(ic));
-            }
-            if (const BlockCacheStats *bc = cpu.blockCacheStats()) {
-                Json cache = Json::object();
-                cache["mode"] =
-                    blockCacheModeName(cpu.blockCacheMode());
-                cache["lookups"] = bc->lookups;
-                cache["replays"] = bc->replays;
-                cache["replayed_instructions"] =
-                    bc->replayedInstructions;
-                cache["records"] = bc->records;
-                cache["slow_walks"] = bc->slowWalks;
-                cache["invalidations"] = bc->invalidations;
-                cache["shadow_verifies"] = bc->shadowVerifies;
-                cache["hit_rate"] = bc->hitRate();
-                reg.set("block_cache", std::move(cache));
-            }
-            if (const SuperblockStats *sb = cpu.superblockStats()) {
-                Json sup = Json::object();
-                sup["mode"] =
-                    superblockModeName(cpu.superblockMode());
-                sup["dispatches"] = sb->dispatches;
-                sup["trace_runs"] = sb->traceRuns;
-                sup["hit_rate"] = sb->hitRate();
-                sup["replayed_instructions"] =
-                    sb->replayedInstructions;
-                sup["loop_iterations"] = sb->loopIterations;
-                sup["traces_built"] = sb->tracesBuilt;
-                sup["avg_trace_length"] = sb->avgTraceLength();
-                sup["fused_records"] = sb->fusedRecords;
-                sup["shared_adoptions"] = sb->sharedAdoptions;
-                sup["build_failures"] = sb->buildFailures;
-                sup["invalidations"] = sb->invalidations;
-                sup["shadow_verifies"] = sb->shadowVerifies;
-                Json exits = Json::object();
-                exits["side_branch"] = sb->exitsSideBranch;
-                exits["trace_end"] = sb->exitsTraceEnd;
-                exits["budget"] = sb->exitsBudget;
-                exits["fault"] = sb->exitsFault;
-                exits["fallback_cold"] = sb->fallbackCold;
-                exits["fallback_residency"] = sb->fallbackResidency;
-                sup["exits"] = std::move(exits);
-                reg.set("superblock", std::move(sup));
             }
             EnergyLedger ledger;
             ledger.addPhase("run", ev);
