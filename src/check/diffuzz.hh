@@ -176,6 +176,14 @@ struct RunReport
 std::vector<std::unique_ptr<Target>> makeTargets(const std::string &goldenDir);
 
 /**
+ * Targets outside the standard set (currently "icache"), run only when
+ * named explicitly.  makeTargets() never returns them, so a default
+ * run, its report and everything pinned to the four standard names
+ * stay as they are.
+ */
+std::vector<std::unique_ptr<Target>> makeOptInTargets();
+
+/**
  * check() wrapped so an escaped exception becomes a failure detail --
  * production code throwing on an in-domain input is itself a bug the
  * harness must report, not die from.

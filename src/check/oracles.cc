@@ -1,10 +1,12 @@
 /**
  * @file
- * The four standard diffuzz targets (mpint / field / ecdsa / pete).
+ * The four standard diffuzz targets (mpint / field / ecdsa / pete)
+ * and the opt-in icache target.
  */
 
 #include "check/oracles.hh"
 
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -15,6 +17,7 @@
 #include "ecdsa/ecdsa.hh"
 #include "ecdsa/sha256.hh"
 #include "mpint/binary_field.hh"
+#include "sim/icache.hh"
 #include "sim/karatsuba_unit.hh"
 #include "mpint/prime_field.hh"
 #include "workload/asm_kernels.hh"
@@ -1181,6 +1184,99 @@ class PeteTarget final : public Target
     }
 };
 
+/** "accesses/hits/.../dataWrites stall=N" for mismatch reports. */
+std::string
+icacheOutcome(const ICacheStats &s, uint64_t stall)
+{
+    std::ostringstream os;
+    os << s.accesses << '/' << s.hits << '/' << s.misses << '/'
+       << s.prefetchHits << '/' << s.lineFills << '/' << s.prefetchFills
+       << '/' << s.tagReads << '/' << s.dataReads << '/' << s.dataWrites
+       << " stall=" << stall;
+    return os.str();
+}
+
+/**
+ * ICache::accessRun / accessLoop vs the word-by-word walk of access()
+ * they stand for.  Ops "run" and "loop" take decimal operands
+ *   lines prefetch warmSeed base words [iters]
+ * (line count, stream buffer on/off, seed of a warm-up stream that
+ * leaves lines and the stream buffer near the body resident, body
+ * address and length, iteration count).  Every statistic, the stall
+ * total and the final cache state must agree.
+ */
+class IcacheTarget final : public Target
+{
+  public:
+    std::string name() const override { return "icache"; }
+
+    CaseInput
+    generate(DiffRng &rng) const override
+    {
+        static const uint32_t kLines[] = {1, 2, 4, 8, 16, 64, 256, 512};
+        CaseInput c;
+        c.op = rng.below(4) == 0 ? "run" : "loop";
+        uint64_t shape = rng.below(8);
+        uint64_t base = shape == 0 ? 0xffffff00u + rng.below(256) // wraps
+            : shape == 1 ? rng.below(8192)                        // unaligned
+                         : 4 * rng.below(2048);
+        c.args = {std::to_string(kLines[rng.below(8)]),
+                  std::to_string(rng.below(2)),
+                  std::to_string(rng.below(1000000000)),
+                  std::to_string(base),
+                  std::to_string(1 + rng.below(rng.below(4) ? 24 : 300))};
+        if (c.op == "loop")
+            c.args.push_back(std::to_string(rng.below(20)));
+        return c;
+    }
+
+    std::optional<std::string>
+    check(const CaseInput &c) const override
+    {
+        const auto &a = c.args;
+        bool loop = c.op == "loop";
+        if ((!loop && c.op != "run") || a.size() != (loop ? 6u : 5u))
+            return std::nullopt;
+        auto lines = tryNum(a[0], 1024);
+        auto prefetch = tryNum(a[1], 1);
+        auto seed = tryNum(a[2], UINT32_MAX);
+        auto base = tryNum(a[3], UINT32_MAX);
+        auto words = tryNum(a[4], 4096);
+        auto iters = loop ? tryNum(a[5], 256) : std::optional<uint64_t>(1);
+        if (!lines || *lines == 0 || (*lines & (*lines - 1)) || !prefetch
+            || !seed || !base || !words || !iters)
+            return std::nullopt;
+        ICacheConfig cfg;
+        cfg.sizeBytes = 16 * static_cast<uint32_t>(*lines);
+        cfg.prefetch = *prefetch != 0;
+        ICache fast(cfg);
+        ICache walk(cfg);
+        uint32_t at = static_cast<uint32_t>(*base);
+        DiffRng warm(*seed);
+        for (int i = 0; i < 32; ++i) {
+            uint32_t addr = at - 1024 + 4 * static_cast<uint32_t>(
+                                                warm.below(1024));
+            fast.access(addr);
+            walk.access(addr);
+        }
+        uint32_t n = static_cast<uint32_t>(*words);
+        uint64_t got = loop ? fast.accessLoop(at, n, *iters)
+                            : fast.accessRun(at, n);
+        uint64_t want = 0;
+        for (uint64_t it = 0; it < *iters; ++it) {
+            for (uint32_t i = 0; i < n; ++i)
+                want += walk.access(at + 4 * i);
+        }
+        std::string g = icacheOutcome(fast.stats(), got);
+        std::string w = icacheOutcome(walk.stats(), want);
+        if (g != w)
+            return mismatch("icache " + c.op, g, w);
+        if (!fast.sameState(walk))
+            return "icache " + c.op + ": final cache state differs";
+        return std::nullopt;
+    }
+};
+
 } // namespace
 
 std::unique_ptr<Target>
@@ -1222,6 +1318,20 @@ makeTargets(const std::string &goldenDir)
     targets.push_back(makeFieldTarget());
     targets.push_back(makeEcdsaTarget(goldenDir));
     targets.push_back(makePeteTarget());
+    return targets;
+}
+
+std::unique_ptr<Target>
+makeIcacheTarget()
+{
+    return std::make_unique<IcacheTarget>();
+}
+
+std::vector<std::unique_ptr<Target>>
+makeOptInTargets()
+{
+    std::vector<std::unique_ptr<Target>> targets;
+    targets.push_back(makeIcacheTarget());
     return targets;
 }
 

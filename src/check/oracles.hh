@@ -18,6 +18,12 @@
  *
  * Each target's factory is exposed individually for focused test
  * rigs; makeTargets() (diffuzz.hh) assembles the standard set.
+ *
+ * Opt-in targets run only when named (diffuzz --target NAME); they
+ * never join the standard set, whose four names callers pin:
+ *
+ *   icache ICache::accessRun/accessLoop (the closed-form fetch replay)
+ *          vs the word-by-word access() walk they stand for.
  */
 
 #ifndef ULECC_CHECK_ORACLES_HH
@@ -48,6 +54,8 @@ std::unique_ptr<Target> makeEcdsaTarget(const std::string &goldenDir);
 size_t ecdsaTargetVectorCount(const Target &target);
 
 std::unique_ptr<Target> makePeteTarget();
+
+std::unique_ptr<Target> makeIcacheTarget();
 
 } // namespace ulecc::check
 

@@ -6,10 +6,9 @@
 #include "core/evaluator.hh"
 
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <tuple>
 
+#include "base/once_map.hh"
 #include "core/eval_cache.hh"
 #include "workload/fetch_trace.hh"
 #include "workload/op_trace.hh"
@@ -31,19 +30,17 @@ archSupportsCurve(MicroArch arch, CurveId curve)
 namespace
 {
 
-/** Memoized fetch-trace replays (they cost tens of ms each). */
+/**
+ * Memoized fetch-trace replays: each (curve, arch, cache) cell is
+ * replayed once per process, whatever its power parameters.
+ */
 const FetchReplayResult &
 cachedReplay(CurveId curve, MicroArch arch, const ICacheConfig &cfg)
 {
     using Key = std::tuple<CurveId, MicroArch, uint32_t, bool>;
-    static std::map<Key, FetchReplayResult> cache;
-    static std::mutex mtx;
-    Key key{curve, arch, cfg.sizeBytes, cfg.prefetch};
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = cache.find(key);
-    if (it == cache.end())
-        it = cache.emplace(key, replayFetchTrace(curve, arch, cfg)).first;
-    return it->second;
+    static OnceMap<Key, FetchReplayResult> cache;
+    return cache.get({curve, arch, cfg.sizeBytes, cfg.prefetch},
+                     [&] { return replayFetchTrace(curve, arch, cfg); });
 }
 
 OperationEval

@@ -7,38 +7,13 @@
 #include "ec/curve.hh"
 
 #include "base/error.hh"
+#include "base/once_map.hh"
 
 #include <cassert>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 
 namespace ulecc
 {
-
-namespace
-{
-
-/**
- * Plain right-to-left double-and-add (paper Algorithm 1), used only for
- * the registration-time order self-check -- deliberately independent of
- * the optimised scalar-multiplication code it helps validate.
- */
-AffinePoint
-naiveScalarMul(const Curve &c, MpUint k, AffinePoint p)
-{
-    AffinePoint q = AffinePoint::makeInfinity();
-    while (!k.isZero()) {
-        if (k.isOdd())
-            q = c.addAffine(q, p);
-        k = k.shiftRight(1);
-        if (!k.isZero())
-            p = c.doubleAffine(p);
-    }
-    return q;
-}
-
-} // namespace
 
 void
 Curve::verifyOrder()
@@ -52,8 +27,18 @@ Curve::verifyOrder()
         orderVerified_ = false;
         return;
     }
-    AffinePoint r = naiveScalarMul(*this, n_, g_);
-    orderVerified_ = r.infinity;
+    // n * G by plain left-to-right double-and-add in projective
+    // coordinates, so no step pays a field inversion.  doubleProj and
+    // addMixed both handle P == Q and P == -Q, so the outcome is the
+    // exact group law's.  Deliberately independent of the optimised
+    // scalar-multiplication code this check helps validate.
+    ProjPoint r = toProj(AffinePoint::makeInfinity());
+    for (int i = n_.bitLength() - 1; i >= 0; --i) {
+        r = doubleProj(r);
+        if (n_.bit(i))
+            r = addMixed(r, g_);
+    }
+    orderVerified_ = r.isInfinity();
 }
 
 std::vector<AffinePoint>
@@ -585,13 +570,8 @@ buildCurve(CurveId id)
 const Curve &
 standardCurve(CurveId id)
 {
-    static std::map<CurveId, std::unique_ptr<Curve>> cache;
-    static std::mutex mtx;
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = cache.find(id);
-    if (it == cache.end())
-        it = cache.emplace(id, buildCurve(id)).first;
-    return *it->second;
+    static OnceMap<CurveId, std::unique_ptr<Curve>> cache;
+    return *cache.get(id, [id] { return buildCurve(id); });
 }
 
 const std::vector<CurveId> &

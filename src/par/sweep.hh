@@ -12,9 +12,11 @@
  * text (the bench harnesses pin this byte-for-byte).
  *
  * Thread-safety relies on two properties of the layers below: every
- * global memo (curve registry, op traces, measured kernels, fetch
- * replays, the evaluation cache) is mutex-guarded, and the field-op
- * observer hooks are thread-local.
+ * global memo is safe to share, and the field-op observer hooks are
+ * thread-local.  The curve registry, op traces, measured kernels and
+ * fetch replays are base/once_map.hh once-cells, so workers building
+ * different keys run concurrently and only same-key requests wait;
+ * the evaluation cache locks only around its lookups and inserts.
  */
 
 #ifndef ULECC_PAR_SWEEP_HH

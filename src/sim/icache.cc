@@ -5,6 +5,7 @@
 
 #include "sim/icache.hh"
 
+#include <algorithm>
 #include <string>
 
 #include "base/error.hh"
@@ -88,6 +89,39 @@ ICache::access(uint32_t addr)
         stats_.prefetchFills++;
     }
     return config_.missPenalty;
+}
+
+uint64_t
+ICache::accessRun(uint32_t addr, uint32_t words)
+{
+    uint64_t stall = 0;
+    while (words > 0) {
+        stall += access(addr);
+        // Words of the run that fall in this line, the first included.
+        uint32_t offset = addr & (config_.lineBytes - 1);
+        uint32_t n = std::min(words, (config_.lineBytes - offset + 3) / 4);
+        creditHits(n - 1);
+        addr += 4 * n;
+        words -= n;
+    }
+    return stall;
+}
+
+uint64_t
+ICache::accessLoop(uint32_t addr, uint32_t words, uint64_t iters)
+{
+    if (iters == 0 || words == 0)
+        return 0;
+    uint64_t stall = accessRun(addr, words);
+    uint64_t last = uint64_t(addr) + 4 * uint64_t(words - 1);
+    uint64_t span = last / config_.lineBytes - addr / config_.lineBytes + 1;
+    if (span <= lines_) {
+        creditHits((iters - 1) * words);
+        return stall;
+    }
+    for (uint64_t it = 1; it < iters; ++it)
+        stall += accessRun(addr, words);
+    return stall;
 }
 
 } // namespace ulecc

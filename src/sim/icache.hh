@@ -70,6 +70,42 @@ class ICache
      */
     uint32_t access(uint32_t addr);
 
+    /**
+     * Models fetching @p words sequential instructions from @p addr,
+     * with exactly the statistics and final state of calling access()
+     * once per word.  Only the first word fetched from each line needs
+     * a full access(): nothing runs between it and the rest of the
+     * line's words, so they hit.
+     *
+     * @return Total stall cycles of the run.
+     */
+    uint64_t accessRun(uint32_t addr, uint32_t words);
+
+    /**
+     * Models a loop: the @p words-word body at @p addr fetched
+     * @p iters times, exactly as @p iters calls of accessRun().  When
+     * the body spans no more lines than the cache holds, its lines
+     * take distinct indices, so after the first iteration every one
+     * is resident and the remaining iterations hit without touching
+     * the cache or the stream buffer; those are credited in one step.
+     * Otherwise the body conflicts with itself and every iteration is
+     * walked.
+     *
+     * @return Total stall cycles of the loop.
+     */
+    uint64_t accessLoop(uint32_t addr, uint32_t words, uint64_t iters);
+
+    /**
+     * True when @p other holds the same lines, tags and stream-buffer
+     * entry (statistics and configuration are not compared).
+     */
+    bool sameState(const ICache &other) const
+    {
+        return tags_ == other.tags_ && valid_ == other.valid_
+            && bufValid_ == other.bufValid_
+            && bufLineAddr_ == other.bufLineAddr_;
+    }
+
     /** Invalidates every line (the reset routine's cache init). */
     void invalidateAll();
 
@@ -98,6 +134,15 @@ class ICache
     uint32_t lineAddr(uint32_t addr) const
     {
         return addr & ~(config_.lineBytes - 1);
+    }
+
+    /** Counts @p n fetches that hit a resident line. */
+    void creditHits(uint64_t n)
+    {
+        stats_.accesses += n;
+        stats_.hits += n;
+        stats_.tagReads += n;
+        stats_.dataReads += n;
     }
 
     ICacheConfig config_;

@@ -56,8 +56,7 @@ class Replayer
     void
     block(uint32_t base, int words)
     {
-        for (int i = 0; i < words; ++i)
-            cache_.access(base + 4 * i);
+        cache_.accessRun(base, words);
         fetches_ += words;
     }
 
@@ -65,8 +64,8 @@ class Replayer
     void
     loop(uint32_t base, int body, int iters)
     {
-        for (int it = 0; it < iters; ++it)
-            block(base, body);
+        cache_.accessLoop(base, body, iters);
+        fetches_ += uint64_t(body) * uint64_t(iters);
     }
 
     void
@@ -89,9 +88,10 @@ class Replayer
             uint32_t base = order ? map_.omulBase
                 : (ev.op() == FieldOp::Mul ? map_.mulBase
                                            : map_.sqrBase);
-            // Nested multiply loops: outer k, inner k of ~9 words.
-            for (int i = 0; i < k_; ++i)
-                loop(base + 16, 9, k_);
+            // Nested multiply loops: outer k, inner k of ~9 words.  The
+            // outer loop adds no fetches of its own, so the nest is
+            // one loop of k*k iterations.
+            loop(base + 16, 9, k_ * k_);
             block(base, 4);
             // Reduction sweep.
             loop(map_.redBase, 10, k_);
@@ -120,9 +120,7 @@ class Replayer
     fixedOverhead(bool sign)
     {
         // Hash + (for signing) HMAC-DRBG: long streaming passes.
-        int passes = sign ? 14 : 4;
-        for (int i = 0; i < passes; ++i)
-            block(map_.shaBase, 1100);
+        loop(map_.shaBase, 1100, sign ? 14 : 4);
         block(map_.protoBase, 600);
         loop(map_.scalarBase, 120, 3); // recoding
     }

@@ -12,7 +12,10 @@
  * This module lays the software suite out as a static code map (region
  * sizes taken from the assembled kernels and typical -O2 code), then
  * replays the recorded ECDSA field-operation sequence as a program
- * counter stream through the real ICache model.
+ * counter stream through the real ICache model.  Straight-line code
+ * goes through ICache::accessRun and loops through ICache::accessLoop,
+ * which charge a loop's hitting re-iterations in one step; every
+ * statistic equals the word-by-word walk's.
  */
 
 #ifndef ULECC_WORKLOAD_FETCH_TRACE_HH

@@ -211,6 +211,43 @@ TEST(Diffuzz, GoldenVectorsAreLoaded)
     EXPECT_GE(vectors, 32u);
 }
 
+TEST(Diffuzz, StandardTargetsStayTheFour)
+{
+    // The standard set is what a default diffuzz run, its report and
+    // the benchmark's fuzz workload check; opt-in targets (reachable
+    // only by --target NAME) must never join it.
+    auto targets = makeTargets(ULECC_GOLDEN_DIR);
+    std::vector<std::string> names;
+    for (const auto &t : targets)
+        names.push_back(t->name());
+    EXPECT_EQ(names, (std::vector<std::string>{"mpint", "field", "ecdsa",
+                                               "pete"}));
+    auto optIn = makeOptInTargets();
+    ASSERT_EQ(optIn.size(), 1u);
+    EXPECT_EQ(optIn[0]->name(), "icache");
+}
+
+TEST(Diffuzz, IcacheTargetRunsClean)
+{
+    RunOptions opts;
+    opts.seed = 1;
+    opts.cases = 2000;
+    RunReport r = runDiffuzz(makeOptInTargets(), opts);
+    for (const Failure &f : r.failures)
+        ADD_FAILURE() << formatCase(f.target, f.shrunk) << ": "
+                      << f.detail;
+    EXPECT_TRUE(r.pass());
+    // A 2-line cache whose 9-word body spans 3 lines (walked), and
+    // malformed operands, which pass vacuously as for every target.
+    auto target = makeIcacheTarget();
+    EXPECT_FALSE(target->check({"loop", {"2", "1", "7", "60", "9", "5"}})
+                     .has_value());
+    EXPECT_FALSE(target->check({"run", {"3", "0", "7", "64", "9"}})
+                     .has_value());
+    EXPECT_FALSE(target->check({"loop", {"4", "1", "7", "64"}})
+                     .has_value());
+}
+
 TEST(Diffuzz, ShortRunPassesWithByteStableJson)
 {
     RunOptions opts;

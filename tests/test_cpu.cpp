@@ -9,6 +9,7 @@
 
 #include "asmkit/assembler.hh"
 #include "sim/cpu.hh"
+#include "test_util.hh"
 
 using namespace ulecc;
 
@@ -429,6 +430,77 @@ TEST(ICache, ConstructorRejectsBadGeometry)
         ICache cache(cfg);
         EXPECT_EQ(cache.lines(), bytes / 16);
     }
+}
+
+namespace
+{
+
+/** Every ICacheStats field. */
+void
+expectICacheStatsEqual(const ICacheStats &a, const ICacheStats &b)
+{
+    EXPECT_EQ(a.accesses, b.accesses);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.prefetchHits, b.prefetchHits);
+    EXPECT_EQ(a.lineFills, b.lineFills);
+    EXPECT_EQ(a.prefetchFills, b.prefetchFills);
+    EXPECT_EQ(a.tagReads, b.tagReads);
+    EXPECT_EQ(a.dataReads, b.dataReads);
+    EXPECT_EQ(a.dataWrites, b.dataWrites);
+}
+
+} // namespace
+
+TEST(ICache, RunMatchesWordWalk)
+{
+    // accessRun and the closed-form accessLoop against the per-word
+    // access() walk they replace, on random (base, words, iters, size,
+    // prefetch) tuples.  The 1-4 line caches make most bodies conflict
+    // with themselves, which must fall back to the walk; the bases
+    // include unaligned ones and ones that wrap the address space.
+    ulecc::test::Rng rng(0x1c4c4e5);
+    for (uint32_t lines : {1u, 2u, 4u, 8u, 64u, 256u}) {
+        for (bool prefetch : {false, true}) {
+            ICacheConfig cfg;
+            cfg.sizeBytes = 16 * lines;
+            cfg.prefetch = prefetch;
+            ICache fast(cfg);
+            ICache walk(cfg);
+            uint64_t fastStall = 0, walkStall = 0;
+            for (int op = 0; op < 300; ++op) {
+                uint32_t base;
+                switch (rng.below(8)) {
+                  case 0: base = 0xffffff00u + rng.below(256); break;
+                  case 1: base = rng.below(8192); break;
+                  default: base = 4 * rng.below(2048); break;
+                }
+                uint32_t words = 1 + rng.below(rng.below(4) ? 24 : 300);
+                uint64_t iters = rng.below(3) ? 1 + rng.below(12) : 1;
+                if (iters == 1 && rng.below(2))
+                    fastStall += fast.accessRun(base, words);
+                else
+                    fastStall += fast.accessLoop(base, words, iters);
+                for (uint64_t it = 0; it < iters; ++it) {
+                    for (uint32_t i = 0; i < words; ++i)
+                        walkStall += walk.access(base + 4 * i);
+                }
+                ASSERT_TRUE(fast.sameState(walk))
+                    << lines << " lines, base " << base << ", " << words
+                    << " words x " << iters;
+            }
+            SCOPED_TRACE(std::to_string(lines) + " lines, prefetch "
+                         + std::to_string(prefetch));
+            EXPECT_EQ(fastStall, walkStall);
+            expectICacheStatsEqual(fast.stats(), walk.stats());
+        }
+    }
+    // Degenerate shapes are no-ops.
+    ICache empty(ICacheConfig{});
+    EXPECT_EQ(empty.accessRun(0, 0), 0u);
+    EXPECT_EQ(empty.accessLoop(0, 0, 5), 0u);
+    EXPECT_EQ(empty.accessLoop(0, 5, 0), 0u);
+    EXPECT_EQ(empty.stats().accesses, 0u);
 }
 
 namespace

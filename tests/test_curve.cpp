@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "ec/curve.hh"
 #include "ec/scalar_mult.hh"
 #include "ec/toy_curves.hh"
@@ -18,7 +21,11 @@ using ulecc::test::Rng;
 namespace
 {
 
-/** Oracle: plain affine double-and-add. */
+/**
+ * Oracle: plain affine right-to-left double-and-add (paper Algorithm
+ * 1), one field inversion per step.  It also decides the order
+ * self-check the registry used to run this way.
+ */
 AffinePoint
 naiveMul(const Curve &c, MpUint k, AffinePoint p)
 {
@@ -46,7 +53,100 @@ samePoint(const AffinePoint &a, const AffinePoint &b)
     return a.x == b.x && a.y == b.y;
 }
 
+/** The order self-check decided by the affine oracle. */
+bool
+affineOrderCheck(const Curve &c, const MpUint &n)
+{
+    const AffinePoint &g = c.generator();
+    return !g.infinity && !n.isZero() && c.onCurve(g)
+        && naiveMul(c, n, g).infinity;
+}
+
+/** @p c rebuilt with claimed order @p n (so its constructor re-checks). */
+std::unique_ptr<Curve>
+withOrder(const Curve &c, const MpUint &n)
+{
+    if (c.isBinary()) {
+        const auto &b = static_cast<const BinaryCurve &>(c);
+        if (b.field().kind() == NistBinary::Generic)
+            return std::make_unique<BinaryCurve>(c.name(), b.field().poly(),
+                                                 b.a(), b.b(),
+                                                 c.generator(), n);
+        return std::make_unique<BinaryCurve>(c.name(), b.field().kind(),
+                                             b.a(), b.b(), c.generator(), n);
+    }
+    const auto &p = static_cast<const PrimeCurve &>(c);
+    if (p.field().kind() == NistPrime::Generic)
+        return std::make_unique<PrimeCurve>(c.name(), p.field().modulus(),
+                                            p.a(), p.b(), c.generator(), n);
+    return std::make_unique<PrimeCurve>(c.name(), p.field().kind(), p.a(),
+                                        p.b(), c.generator(), n);
+}
+
 } // namespace
+
+TEST(CurveRegistry, OrderCheckMatchesAffineOracle)
+{
+    // The registry's projective n * G check must decide exactly what
+    // the affine oracle decides, for the true order and for wrong ones:
+    // n - 1 (== n with its low bit flipped, n being odd) and n + 1 miss
+    // the identity by -G and +G.  2n is a multiple of the order, so
+    // both accept it -- the check proves n * G == O, not minimality.
+    std::vector<const Curve *> curves;
+    for (CurveId id : primeCurveIds())
+        curves.push_back(&standardCurve(id));
+    for (CurveId id : binaryCurveIds()) {
+        if (!standardCurve(id).synthetic())
+            curves.push_back(&standardCurve(id));
+    }
+    ASSERT_EQ(curves.size(), 8u);
+    for (const Curve *c : curves) {
+        const MpUint &n = c->order();
+        struct Candidate
+        {
+            const char *what;
+            MpUint order;
+            bool valid;
+        };
+        const Candidate candidates[] = {
+            {"n", n, true},
+            {"n+1", n.add(MpUint(1)), false},
+            {"n-1", n.sub(MpUint(1)), false},
+            {"2n", n.add(n), true},
+            {"n^1", n.bitXor(MpUint(1)), false},
+        };
+        for (const Candidate &k : candidates) {
+            std::unique_ptr<Curve> rebuilt = withOrder(*c, k.order);
+            EXPECT_EQ(rebuilt->orderVerified(),
+                      affineOrderCheck(*rebuilt, k.order))
+                << c->name() << " " << k.what;
+            EXPECT_EQ(rebuilt->orderVerified(), k.valid)
+                << c->name() << " " << k.what;
+        }
+    }
+}
+
+TEST(CurveRegistry, ToyOrderCheckMatchesAffineOracle)
+{
+    // On the toy curves every claimed order up to 2q + 1 is cheap to
+    // try: exactly the multiples of the prime order q pass.
+    std::vector<std::unique_ptr<Curve>> toys;
+    toys.push_back(makeToyPrimeCurve());
+    toys.push_back(makeToyBinaryCurve());
+    for (const auto &toy : toys) {
+        ASSERT_TRUE(toy->orderVerified()) << toy->name();
+        uint32_t q = toy->order().limb(0);
+        uint32_t upto = std::min<uint32_t>(2 * q + 1, 1200);
+        for (uint32_t m = 0; m <= upto; ++m) {
+            std::unique_ptr<Curve> rebuilt = withOrder(*toy, MpUint(m));
+            ASSERT_EQ(rebuilt->orderVerified(),
+                      affineOrderCheck(*rebuilt, MpUint(m)))
+                << toy->name() << " n=" << m;
+            ASSERT_EQ(rebuilt->orderVerified(), m != 0 && m % q == 0)
+                << toy->name() << " n=" << m;
+        }
+    }
+}
 
 TEST(CurveRegistry, AllRealCurvesVerified)
 {

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <sstream>
+
 #include "core/evaluator.hh"
 #include "workload/fetch_trace.hh"
 #include "workload/op_trace.hh"
@@ -103,6 +107,57 @@ TEST(FetchTrace, MissRateFallsWithCacheSize)
     }
     // The working set is about 4 KB: an 8 KB cache almost never misses.
     EXPECT_LT(prev, 0.01);
+}
+
+TEST(FetchTrace, StatsPinned)
+{
+    // tests/golden/fetch_replay.txt pins every ICacheStats field and the
+    // fetch count of each curve's replay at 64 B to 8 KB, with and
+    // without the stream buffer, as the word-by-word replay computed
+    // them.  The replay's closed-form fast paths must reproduce every
+    // number exactly.
+    std::ifstream in(std::string(ULECC_GOLDEN_DIR) + "/fetch_replay.txt");
+    ASSERT_TRUE(in.good());
+    std::map<std::string, CurveId> byName;
+    for (const auto *ids : {&primeCurveIds(), &binaryCurveIds()}) {
+        for (CurveId id : *ids)
+            byName[curveIdName(id)] = id;
+    }
+    int rows = 0;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream row(line);
+        std::string name;
+        ICacheConfig cfg;
+        int prefetch = 0;
+        ICacheStats want;
+        uint64_t wantFetches = 0;
+        row >> name >> cfg.sizeBytes >> prefetch >> want.accesses
+            >> want.hits >> want.misses >> want.prefetchHits
+            >> want.lineFills >> want.prefetchFills >> want.tagReads
+            >> want.dataReads >> want.dataWrites >> wantFetches;
+        ASSERT_FALSE(row.fail()) << line;
+        ASSERT_EQ(byName.count(name), 1u) << line;
+        cfg.prefetch = prefetch != 0;
+        FetchReplayResult got = replayFetchTrace(
+            byName[name], MicroArch::IsaExtIcache, cfg);
+        SCOPED_TRACE(line);
+        EXPECT_EQ(got.stats.accesses, want.accesses);
+        EXPECT_EQ(got.stats.hits, want.hits);
+        EXPECT_EQ(got.stats.misses, want.misses);
+        EXPECT_EQ(got.stats.prefetchHits, want.prefetchHits);
+        EXPECT_EQ(got.stats.lineFills, want.lineFills);
+        EXPECT_EQ(got.stats.prefetchFills, want.prefetchFills);
+        EXPECT_EQ(got.stats.tagReads, want.tagReads);
+        EXPECT_EQ(got.stats.dataReads, want.dataReads);
+        EXPECT_EQ(got.stats.dataWrites, want.dataWrites);
+        EXPECT_EQ(got.fetches, wantFetches);
+        ++rows;
+    }
+    // 10 curves x 5 sizes x prefetch off/on.
+    EXPECT_EQ(rows, 100);
 }
 
 TEST(FetchTrace, PrefetchServesSequentialMisses)

@@ -19,10 +19,13 @@
 
 #include <gtest/gtest.h>
 
+#include "base/error.hh"
+#include "base/once_map.hh"
 #include "core/eval_cache.hh"
 #include "core/evaluator.hh"
 #include "par/sweep.hh"
 #include "par/thread_pool.hh"
+#include "workload/op_trace.hh"
 
 using namespace ulecc;
 
@@ -485,6 +488,114 @@ TEST(Sweep, ParallelMatchesSerialBitExact)
             continue;
         }
         expectResultsIdentical(golden[i].value(), ours[i].value());
+    }
+}
+
+TEST(OnceMap, BuildsEachKeyOnceAndCachesNoFailure)
+{
+    OnceMap<int, int> map;
+    std::atomic<int> builds{0};
+    std::vector<std::thread> threads;
+    std::vector<const int *> seen(8);
+    for (size_t t = 0; t < seen.size(); ++t) {
+        threads.emplace_back([&, t] {
+            seen[t] = &map.get(7, [&] {
+                builds.fetch_add(1);
+                return 49;
+            });
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(builds.load(), 1);
+    for (const int *p : seen) {
+        EXPECT_EQ(p, seen[0]);
+        EXPECT_EQ(*p, 49);
+    }
+    // A build that throws leaves the key unset: the next call builds.
+    auto failing = []() -> int {
+        throw UleccError(Errc::Internal, "build failed");
+    };
+    EXPECT_THROW(map.get(3, failing), UleccError);
+    EXPECT_EQ(map.get(3, [] { return 9; }), 9);
+    EXPECT_EQ(map.get(3, [] { return 10; }), 9);
+}
+
+TEST(Sweep, ColdMemosFromEightThreads)
+{
+    // Eight threads hit every process-wide memo at once -- curves, op
+    // traces, measured kernel sets (built by KernelModel) and fetch
+    // replays (the real-I$ cells) -- while they are cold: ctest runs
+    // each test in its own process.  Every thread must get the one
+    // object built per key, and every result must equal a serial
+    // evaluation afterwards.  Under the TSan preset this is also a
+    // data-race hunt on the once-cells.
+    EnvVar cache("ULECC_EVAL_CACHE", "0");
+    std::vector<CurveId> ids = primeCurveIds();
+    ids.insert(ids.end(), binaryCurveIds().begin(), binaryCurveIds().end());
+    std::vector<SweepPoint> points = fullDesignSpace();
+    for (CurveId id : ids) {
+        for (uint32_t bytes : {1024u, 8192u}) {
+            SweepPoint p{MicroArch::IsaExtIcache, id, {}};
+            p.options.kernel.icacheBytes = bytes;
+            p.options.kernel.icachePrefetch = bytes == 1024;
+            points.push_back(p);
+        }
+    }
+
+    constexpr size_t kThreads = 8;
+    struct Seen
+    {
+        std::vector<const Curve *> curves;
+        std::vector<const EcdsaTrace *> traces;
+        std::vector<Result<EvalResult>> evals;
+    };
+    std::vector<Seen> seen(kThreads);
+    std::atomic<size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            Seen &s = seen[t];
+            s.curves.resize(ids.size());
+            s.traces.resize(ids.size());
+            s.evals.assign(points.size(), Error{Errc::Internal, "unset"});
+            ready.fetch_add(1);
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            // Each thread starts at a different key, so distinct keys
+            // build concurrently while every key is also contended.
+            for (size_t j = 0; j < ids.size(); ++j) {
+                size_t i = (j + t) % ids.size();
+                s.curves[i] = &standardCurve(ids[i]);
+                s.traces[i] = &ecdsaTrace(ids[i]);
+            }
+            for (size_t j = 0; j < points.size(); ++j) {
+                size_t i = (j + t * 7) % points.size();
+                const SweepPoint &p = points[i];
+                s.evals[i] = evaluateChecked(p.arch, p.curve, p.options);
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    for (size_t i = 0; i < ids.size(); ++i) {
+        for (const Seen &s : seen) {
+            EXPECT_EQ(s.curves[i], &standardCurve(ids[i]));
+            EXPECT_EQ(s.traces[i], &ecdsaTrace(ids[i]));
+        }
+    }
+    for (size_t i = 0; i < points.size(); ++i) {
+        const SweepPoint &p = points[i];
+        Result<EvalResult> serial = evaluateChecked(p.arch, p.curve,
+                                                    p.options);
+        for (const Seen &s : seen) {
+            ASSERT_EQ(s.evals[i].ok(), serial.ok()) << "point " << i;
+            if (serial.ok())
+                expectResultsIdentical(s.evals[i].value(), serial.value());
+            else
+                EXPECT_EQ(s.evals[i].code(), serial.code());
+        }
     }
 }
 

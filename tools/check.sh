@@ -295,6 +295,12 @@ if [[ "$diffuzz_cases" != "0" ]]; then
 
     step "diffuzz: replay checked-in regression corpus"
     "$diffuzz_bin" --replay "$repo/tests/golden/corpus/regressions.case"
+
+    # Opt-in targets never join the standard set (the default run and
+    # its report above stay the four standard targets), so each one
+    # runs here by name.
+    step "diffuzz: opt-in icache target, $diffuzz_cases cases (seed 1)"
+    "$diffuzz_bin" --seed 1 --cases "$diffuzz_cases" --target icache
 fi
 
 if [[ $run_soak -eq 1 ]]; then

@@ -11,13 +11,15 @@
  *                 at a fixed seed
  *   --cases N     generated cases per target (default 10000, at most
  *                 100000000)
- *   --target T    run only the named target(s) (default: all four)
+ *   --target T    run only the named target(s) (default: the four
+ *                 standard ones); also the only way to run an opt-in
+ *                 target such as "icache"
  *   --corpus DIR  write one replayable .case file per failure
  *   --replay F    replay corpus file(s) instead of fuzzing
  *   --json PATH   write the "ulecc.diffuzz.v1" summary document
  *   --golden DIR  golden-vector directory (default: the checked-in
  *                 tests/golden)
- *   --list        print the target names and exit
+ *   --list        print the selected target names and exit
  *
  * Numbers are parsed strictly (tools/arg_parse.hh): "--cases abc" or
  * "--cases -1" exits 2 with "bad value" instead of checking nothing.
@@ -152,6 +154,8 @@ main(int argc, char **argv)
     std::vector<std::unique_ptr<Target>> targets =
         makeTargets(goldenDir);
     if (!only.empty()) {
+        for (auto &t : makeOptInTargets())
+            targets.push_back(std::move(t));
         std::vector<std::unique_ptr<Target>> kept;
         for (auto &t : targets) {
             for (const std::string &name : only) {
