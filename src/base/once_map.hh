@@ -7,13 +7,15 @@
  * then shared by every thread of a sweep.  A single mutex held across
  * a build would serialise the builds of unrelated keys; here the map
  * lock covers only finding (or inserting) a key's slot, and the build
- * itself runs under that slot's std::call_once.  Threads asking for
+ * itself runs under that slot's own mutex.  Threads asking for
  * different keys build concurrently; threads asking for the same key
  * wait for the one build.
  *
- * A build that throws leaves its slot unset (std::call_once does not
- * mark the flag), so the exception reaches the caller and the next
- * caller retries: nothing is cached on failure.
+ * A build that throws leaves its slot empty and releases the slot
+ * lock as the exception unwinds, so the exception reaches the caller
+ * and the next caller retries: nothing is cached on failure.  (A
+ * per-slot std::call_once would say the same, but under
+ * ThreadSanitizer the call after a throwing build hangs.)
  *
  * Slots live in std::map nodes, which never move, so returned
  * references stay valid for the life of the map.
@@ -46,14 +48,16 @@ class OnceMap
             std::lock_guard<std::mutex> lock(mtx_);
             slot = &slots_.try_emplace(key).first->second;
         }
-        std::call_once(slot->once, [&] { slot->value.emplace(build()); });
+        std::lock_guard<std::mutex> lock(slot->mtx);
+        if (!slot->value)
+            slot->value.emplace(build());
         return *slot->value;
     }
 
   private:
     struct Slot
     {
-        std::once_flag once;
+        std::mutex mtx;
         std::optional<V> value;
     };
 

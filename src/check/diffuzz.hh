@@ -176,7 +176,7 @@ struct RunReport
 std::vector<std::unique_ptr<Target>> makeTargets(const std::string &goldenDir);
 
 /**
- * Targets outside the standard set (currently "icache"), run only when
+ * Targets outside the standard set ("icache", "point"), run only when
  * named explicitly.  makeTargets() never returns them, so a default
  * run, its report and everything pinned to the four standard names
  * stay as they are.

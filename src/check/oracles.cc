@@ -1,7 +1,7 @@
 /**
  * @file
  * The four standard diffuzz targets (mpint / field / ecdsa / pete)
- * and the opt-in icache target.
+ * and the opt-in icache and point targets.
  */
 
 #include "check/oracles.hh"
@@ -14,6 +14,8 @@
 #include "base/error.hh"
 #include "check/refint.hh"
 #include "ec/curve.hh"
+#include "ec/scalar_mult.hh"
+#include "ec/toy_curves.hh"
 #include "ecdsa/ecdsa.hh"
 #include "ecdsa/sha256.hh"
 #include "mpint/binary_field.hh"
@@ -1277,6 +1279,134 @@ class IcacheTarget final : public Target
     }
 };
 
+/* ------------------------------------------------------------------ */
+/* point                                                              */
+/* ------------------------------------------------------------------ */
+
+/** The curves of the point target: the study's ten and two toys. */
+const Curve *
+pointCurveFor(const std::string &tok)
+{
+    static const std::map<std::string, const Curve *> curves = [] {
+        static const std::unique_ptr<PrimeCurve> toyp = makeToyPrimeCurve();
+        static const std::unique_ptr<BinaryCurve> toyb =
+            makeToyBinaryCurve();
+        std::map<std::string, const Curve *> m;
+        for (const auto *ids : {&primeCurveIds(), &binaryCurveIds()}) {
+            for (CurveId id : *ids)
+                m.emplace(curveIdName(id), &standardCurve(id));
+        }
+        m.emplace("toyp", toyp.get());
+        m.emplace("toyb", toyb.get());
+        return m;
+    }();
+    auto it = curves.find(tok);
+    return it == curves.end() ? nullptr : it->second;
+}
+
+/** k * P by left-to-right affine double-and-add. */
+AffinePoint
+affineMul(const Curve &c, const MpUint &k, const AffinePoint &p)
+{
+    AffinePoint r = AffinePoint::makeInfinity();
+    for (int i = k.bitLength() - 1; i >= 0; --i) {
+        r = c.doubleAffine(r);
+        if (k.bit(i))
+            r = c.addAffine(r, p);
+    }
+    return r;
+}
+
+std::string
+pointHex(const AffinePoint &p)
+{
+    return p.infinity ? "inf" : "(" + p.x.toHex() + "," + p.y.toHex() + ")";
+}
+
+/**
+ * scalarMul / twinScalarMul (projective formulas on field elements)
+ * vs left-to-right affine double-and-add over the curve's own
+ * addAffine/doubleAffine.  Ops
+ *   mul  curve k s           k * (s G)
+ *   twin curve u1 s1 u2 s2   u1 * (s1 G) + u2 * (s2 G)
+ * take hex scalars and small decimal multipliers s of the generator;
+ * curve is a curve name ("P-256", "B-409s") or "toyp"/"toyb", the toy
+ * curves whose fields take the generic element paths.
+ */
+class PointTarget final : public Target
+{
+  public:
+    std::string name() const override { return "point"; }
+
+    CaseInput
+    generate(DiffRng &rng) const override
+    {
+        static const char *kCurves[] = {
+            "P-192", "P-224", "P-256", "P-384", "P-521", "B-163",
+            "B-233", "B-283", "B-409s", "B-571s", "toyp", "toyb"};
+        // The small and toy curves carry most cases: the oracle pays a
+        // field inversion per bit, so a P-521 case costs 30 of P-192.
+        static const int kWeights[] = {5, 2, 4, 1, 1, 5, 2, 2, 1, 1, 3, 3};
+        uint64_t r = rng.below(30);
+        int ci = 0;
+        while (r >= static_cast<uint64_t>(kWeights[ci]))
+            r -= kWeights[ci++];
+        CaseInput c;
+        c.op = rng.below(3) == 0 ? "twin" : "mul";
+        c.args = {kCurves[ci]};
+        const MpUint &n = pointCurveFor(kCurves[ci])->order();
+        auto scalar = [&] {
+            switch (rng.below(10)) {
+              case 0: return MpUint();
+              case 1: return MpUint(1 + rng.below(7));
+              case 2: return n.sub(MpUint(1));
+              case 3: return n;
+              case 4: return n.add(MpUint(1));
+              default: return rng.mpBelow(n);
+            }
+        };
+        int terms = c.op == "twin" ? 2 : 1;
+        for (int i = 0; i < terms; ++i) {
+            c.args.push_back(scalar().toHex());
+            c.args.push_back(std::to_string(1 + rng.below(16)));
+        }
+        return c;
+    }
+
+    std::optional<std::string>
+    check(const CaseInput &c) const override
+    {
+        const auto &a = c.args;
+        bool twin = c.op == "twin";
+        if ((!twin && c.op != "mul") || a.size() != (twin ? 5u : 3u))
+            return std::nullopt;
+        const Curve *curve = pointCurveFor(a[0]);
+        if (!curve)
+            return std::nullopt;
+        const int cap = curve->order().bitLength() + 2;
+        std::vector<MpUint> k;
+        std::vector<AffinePoint> base;
+        for (size_t i = 1; i + 1 < a.size(); i += 2) {
+            auto ki = tryMp(a[i]);
+            auto si = tryNum(a[i + 1], 64);
+            if (!ki || ki->bitLength() > cap || !si || *si == 0)
+                return std::nullopt;
+            k.push_back(*ki);
+            base.push_back(affineMul(*curve, MpUint(*si), curve->generator()));
+        }
+        AffinePoint got = twin
+            ? twinScalarMul(*curve, k[0], base[0], k[1], base[1])
+            : scalarMul(*curve, k[0], base[0]);
+        AffinePoint want = affineMul(*curve, k[0], base[0]);
+        if (twin)
+            want = curve->addAffine(want, affineMul(*curve, k[1], base[1]));
+        if (pointHex(got) != pointHex(want))
+            return mismatch("point " + c.op + " " + a[0], pointHex(got),
+                            pointHex(want));
+        return std::nullopt;
+    }
+};
+
 } // namespace
 
 std::unique_ptr<Target>
@@ -1327,11 +1457,18 @@ makeIcacheTarget()
     return std::make_unique<IcacheTarget>();
 }
 
+std::unique_ptr<Target>
+makePointTarget()
+{
+    return std::make_unique<PointTarget>();
+}
+
 std::vector<std::unique_ptr<Target>>
 makeOptInTargets()
 {
     std::vector<std::unique_ptr<Target>> targets;
     targets.push_back(makeIcacheTarget());
+    targets.push_back(makePointTarget());
     return targets;
 }
 

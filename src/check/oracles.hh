@@ -23,7 +23,10 @@
  * never join the standard set, whose four names callers pin:
  *
  *   icache ICache::accessRun/accessLoop (the closed-form fetch replay)
- *          vs the word-by-word access() walk they stand for.
+ *          vs the word-by-word access() walk they stand for;
+ *   point  scalarMul/twinScalarMul (projective formulas on field
+ *          elements) vs affine double-and-add, on the ten curves and
+ *          the two toy curves.
  */
 
 #ifndef ULECC_CHECK_ORACLES_HH
@@ -56,6 +59,8 @@ size_t ecdsaTargetVectorCount(const Target &target);
 std::unique_ptr<Target> makePeteTarget();
 
 std::unique_ptr<Target> makeIcacheTarget();
+
+std::unique_ptr<Target> makePointTarget();
 
 } // namespace ulecc::check
 

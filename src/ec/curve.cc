@@ -48,8 +48,8 @@ Curve::toAffineBatch(const std::vector<ProjPoint> &points) const
     // 3(n-1) multiplications inverts every non-trivial Z at once.
     std::vector<AffinePoint> out(points.size());
     std::vector<size_t> live;
-    std::vector<MpUint> prefix;
-    MpUint acc(1);
+    std::vector<FieldElem> prefix;
+    FieldElem acc = elemOfWord(1);
     for (size_t i = 0; i < points.size(); ++i) {
         if (points[i].isInfinity()) {
             out[i] = AffinePoint::makeInfinity();
@@ -61,10 +61,10 @@ Curve::toAffineBatch(const std::vector<ProjPoint> &points) const
     }
     if (live.empty())
         return out;
-    MpUint inv_acc = fieldInv(acc);
+    FieldElem inv_acc = fieldInv(acc);
     for (size_t j = live.size(); j-- > 0;) {
         size_t i = live[j];
-        MpUint zinv = fieldMul(inv_acc, prefix[j]);
+        FieldElem zinv = fieldMul(inv_acc, prefix[j]);
         inv_acc = fieldMul(inv_acc, points[i].z);
         out[i] = affineFromProj(points[i], zinv);
     }
@@ -82,6 +82,7 @@ PrimeCurve::PrimeCurve(std::string name, NistPrime prime, const MpUint &a,
                        const MpUint &n, bool synthetic)
     : Curve(std::move(name), g, n, synthetic), field_(prime), a_(a), b_(b)
 {
+    initElems();
     verifyOrder();
 }
 
@@ -90,7 +91,19 @@ PrimeCurve::PrimeCurve(std::string name, const MpUint &p, const MpUint &a,
                        const MpUint &n, bool synthetic)
     : Curve(std::move(name), g, n, synthetic), field_(p), a_(a), b_(b)
 {
+    initElems();
     verifyOrder();
+}
+
+void
+PrimeCurve::initElems()
+{
+    aElem_ = field_.load(a_);
+    one_ = field_.load(MpUint(1));
+    two_ = field_.load(MpUint(2));
+    three_ = field_.load(MpUint(3));
+    four_ = field_.load(MpUint(4));
+    eight_ = field_.load(MpUint(8));
 }
 
 bool
@@ -99,6 +112,8 @@ PrimeCurve::onCurve(const AffinePoint &p) const
     if (p.infinity)
         return true;
     const PrimeField &f = field_;
+    if (!f.inRange(p.x) || !f.inRange(p.y))
+        return false;
     MpUint lhs = f.sqr(p.y);
     MpUint rhs = f.add(f.mul(f.sqr(p.x), p.x),
                        f.add(f.mul(a_, p.x), b_));
@@ -152,8 +167,8 @@ ProjPoint
 PrimeCurve::toProj(const AffinePoint &p) const
 {
     if (p.infinity)
-        return {MpUint(1), MpUint(1), MpUint()};
-    return {p.x, p.y, MpUint(1)};
+        return infinityProj();
+    return {field_.load(p.x), field_.load(p.y), one_};
 }
 
 AffinePoint
@@ -162,9 +177,9 @@ PrimeCurve::toAffine(const ProjPoint &p) const
     if (p.isInfinity())
         return AffinePoint::makeInfinity();
     const PrimeField &f = field_;
-    MpUint zi = f.inv(p.z);
-    MpUint zi2 = f.sqr(zi);
-    return {f.mul(p.x, zi2), f.mul(p.y, f.mul(zi2, zi))};
+    FieldElem zi = f.inv(p.z);
+    FieldElem zi2 = f.sqr(zi);
+    return {f.store(f.mul(p.x, zi2)), f.store(f.mul(p.y, f.mul(zi2, zi)))};
 }
 
 ProjPoint
@@ -173,38 +188,39 @@ PrimeCurve::doubleProj(const ProjPoint &p) const
     // Jacobian doubling (general a):
     //   S = 4 X Y^2,  M = 3 X^2 + a Z^4
     //   X' = M^2 - 2S,  Y' = M (S - X') - 8 Y^4,  Z' = 2 Y Z
-    if (p.isInfinity() || p.y.isZero())
-        return {MpUint(1), MpUint(1), MpUint()};
     const PrimeField &f = field_;
-    MpUint y2 = f.sqr(p.y);
-    MpUint s = f.mul(MpUint(4), f.mul(p.x, y2));
-    MpUint z2 = f.sqr(p.z);
-    MpUint m = f.add(f.mul(MpUint(3), f.sqr(p.x)),
-                     f.mul(a_, f.sqr(z2)));
-    MpUint x3 = f.sub(f.sqr(m), f.add(s, s));
-    MpUint y4x8 = f.mul(MpUint(8), f.sqr(y2));
-    MpUint y3 = f.sub(f.mul(m, f.sub(s, x3)), y4x8);
-    MpUint z3 = f.mul(MpUint(2), f.mul(p.y, p.z));
+    if (p.isInfinity() || f.isZero(p.y))
+        return infinityProj();
+    FieldElem y2 = f.sqr(p.y);
+    FieldElem s = f.mul(four_, f.mul(p.x, y2));
+    FieldElem z2 = f.sqr(p.z);
+    FieldElem m = f.add(f.mul(three_, f.sqr(p.x)),
+                        f.mul(aElem_, f.sqr(z2)));
+    FieldElem x3 = f.sub(f.sqr(m), f.add(s, s));
+    FieldElem y4x8 = f.mul(eight_, f.sqr(y2));
+    FieldElem y3 = f.sub(f.mul(m, f.sub(s, x3)), y4x8);
+    FieldElem z3 = f.mul(two_, f.mul(p.y, p.z));
     return {x3, y3, z3};
 }
 
-MpUint
-PrimeCurve::fieldInv(const MpUint &a) const
+FieldElem
+PrimeCurve::fieldInv(const FieldElem &a) const
 {
     return field_.inv(a);
 }
 
-MpUint
-PrimeCurve::fieldMul(const MpUint &a, const MpUint &b) const
+FieldElem
+PrimeCurve::fieldMul(const FieldElem &a, const FieldElem &b) const
 {
     return field_.mul(a, b);
 }
 
 AffinePoint
-PrimeCurve::affineFromProj(const ProjPoint &p, const MpUint &zinv) const
+PrimeCurve::affineFromProj(const ProjPoint &p, const FieldElem &zinv) const
 {
-    MpUint zi2 = field_.sqr(zinv);
-    return {field_.mul(p.x, zi2), field_.mul(p.y, field_.mul(zi2, zinv))};
+    const PrimeField &f = field_;
+    FieldElem zi2 = f.sqr(zinv);
+    return {f.store(f.mul(p.x, zi2)), f.store(f.mul(p.y, f.mul(zi2, zinv)))};
 }
 
 ProjPoint
@@ -216,22 +232,23 @@ PrimeCurve::addMixed(const ProjPoint &p, const AffinePoint &q) const
     if (p.isInfinity())
         return toProj(q);
     const PrimeField &f = field_;
-    MpUint z1z1 = f.sqr(p.z);
-    MpUint u2 = f.mul(q.x, z1z1);
-    MpUint s2 = f.mul(q.y, f.mul(z1z1, p.z));
-    MpUint h = f.sub(u2, p.x);
-    MpUint r = f.sub(s2, p.y);
-    if (h.isZero()) {
-        if (r.isZero())
+    const FieldElem qx = f.load(q.x), qy = f.load(q.y);
+    FieldElem z1z1 = f.sqr(p.z);
+    FieldElem u2 = f.mul(qx, z1z1);
+    FieldElem s2 = f.mul(qy, f.mul(z1z1, p.z));
+    FieldElem h = f.sub(u2, p.x);
+    FieldElem r = f.sub(s2, p.y);
+    if (f.isZero(h)) {
+        if (f.isZero(r))
             return doubleProj(p);
-        return {MpUint(1), MpUint(1), MpUint()}; // P + (-P)
+        return infinityProj(); // P + (-P)
     }
-    MpUint h2 = f.sqr(h);
-    MpUint h3 = f.mul(h2, h);
-    MpUint v = f.mul(p.x, h2);
-    MpUint x3 = f.sub(f.sub(f.sqr(r), h3), f.add(v, v));
-    MpUint y3 = f.sub(f.mul(r, f.sub(v, x3)), f.mul(p.y, h3));
-    MpUint z3 = f.mul(p.z, h);
+    FieldElem h2 = f.sqr(h);
+    FieldElem h3 = f.mul(h2, h);
+    FieldElem v = f.mul(p.x, h2);
+    FieldElem x3 = f.sub(f.sub(f.sqr(r), h3), f.add(v, v));
+    FieldElem y3 = f.sub(f.mul(r, f.sub(v, x3)), f.mul(p.y, h3));
+    FieldElem z3 = f.mul(p.z, h);
     return {x3, y3, z3};
 }
 
@@ -248,6 +265,7 @@ BinaryCurve::BinaryCurve(std::string name, NistBinary fieldKind,
     : Curve(std::move(name), g, n, synthetic), field_(fieldKind), a_(a),
       b_(b)
 {
+    initElems();
     verifyOrder();
 }
 
@@ -257,7 +275,16 @@ BinaryCurve::BinaryCurve(std::string name, const MpUint &poly,
                          bool synthetic)
     : Curve(std::move(name), g, n, synthetic), field_(poly), a_(a), b_(b)
 {
+    initElems();
     verifyOrder();
+}
+
+void
+BinaryCurve::initElems()
+{
+    aElem_ = field_.load(a_);
+    bElem_ = field_.load(b_);
+    one_ = field_.load(MpUint(1));
 }
 
 bool
@@ -266,6 +293,8 @@ BinaryCurve::onCurve(const AffinePoint &p) const
     if (p.infinity)
         return true;
     const BinaryField &f = field_;
+    if (!f.inRange(p.x) || !f.inRange(p.y))
+        return false;
     // y^2 + xy == x^3 + a x^2 + b
     MpUint lhs = f.add(f.sqr(p.y), f.mul(p.x, p.y));
     MpUint x2 = f.sqr(p.x);
@@ -320,8 +349,8 @@ ProjPoint
 BinaryCurve::toProj(const AffinePoint &p) const
 {
     if (p.infinity)
-        return {MpUint(1), MpUint(), MpUint()};
-    return {p.x, p.y, MpUint(1)};
+        return infinityProj();
+    return {field_.load(p.x), field_.load(p.y), one_};
 }
 
 AffinePoint
@@ -330,8 +359,8 @@ BinaryCurve::toAffine(const ProjPoint &p) const
     if (p.isInfinity())
         return AffinePoint::makeInfinity();
     const BinaryField &f = field_;
-    MpUint zi = f.inv(p.z);
-    return {f.mul(p.x, zi), f.mul(p.y, f.sqr(zi))};
+    FieldElem zi = f.inv(p.z);
+    return {f.store(f.mul(p.x, zi)), f.store(f.mul(p.y, f.sqr(zi)))};
 }
 
 ProjPoint
@@ -341,35 +370,36 @@ BinaryCurve::doubleProj(const ProjPoint &p) const
     //   Z3 = X1^2 Z1^2
     //   X3 = X1^4 + b Z1^4
     //   Y3 = b Z1^4 Z3 + X3 (a Z3 + Y1^2 + b Z1^4)
-    if (p.isInfinity() || p.x.isZero())
-        return {MpUint(1), MpUint(), MpUint()};
     const BinaryField &f = field_;
-    MpUint z2 = f.sqr(p.z);
-    MpUint x2 = f.sqr(p.x);
-    MpUint z3 = f.mul(x2, z2);
-    MpUint bz4 = f.mul(b_, f.sqr(z2));
-    MpUint x3 = f.add(f.sqr(x2), bz4);
-    MpUint inner = f.add(f.add(f.mul(a_, z3), f.sqr(p.y)), bz4);
-    MpUint y3 = f.add(f.mul(bz4, z3), f.mul(x3, inner));
+    if (p.isInfinity() || f.isZero(p.x))
+        return infinityProj();
+    FieldElem z2 = f.sqr(p.z);
+    FieldElem x2 = f.sqr(p.x);
+    FieldElem z3 = f.mul(x2, z2);
+    FieldElem bz4 = f.mul(bElem_, f.sqr(z2));
+    FieldElem x3 = f.add(f.sqr(x2), bz4);
+    FieldElem inner = f.add(f.add(f.mul(aElem_, z3), f.sqr(p.y)), bz4);
+    FieldElem y3 = f.add(f.mul(bz4, z3), f.mul(x3, inner));
     return {x3, y3, z3};
 }
 
-MpUint
-BinaryCurve::fieldInv(const MpUint &a) const
+FieldElem
+BinaryCurve::fieldInv(const FieldElem &a) const
 {
     return field_.inv(a);
 }
 
-MpUint
-BinaryCurve::fieldMul(const MpUint &a, const MpUint &b) const
+FieldElem
+BinaryCurve::fieldMul(const FieldElem &a, const FieldElem &b) const
 {
     return field_.mul(a, b);
 }
 
 AffinePoint
-BinaryCurve::affineFromProj(const ProjPoint &p, const MpUint &zinv) const
+BinaryCurve::affineFromProj(const ProjPoint &p, const FieldElem &zinv) const
 {
-    return {field_.mul(p.x, zinv), field_.mul(p.y, field_.sqr(zinv))};
+    const BinaryField &f = field_;
+    return {f.store(f.mul(p.x, zinv)), f.store(f.mul(p.y, f.sqr(zinv)))};
 }
 
 ProjPoint
@@ -382,23 +412,24 @@ BinaryCurve::addMixed(const ProjPoint &p, const AffinePoint &q) const
     if (p.isInfinity())
         return toProj(q);
     const BinaryField &f = field_;
-    MpUint z1sq = f.sqr(p.z);
-    MpUint a_coef = f.add(f.mul(q.y, z1sq), p.y);          // A
-    MpUint b_coef = f.add(f.mul(q.x, p.z), p.x);           // B
-    if (b_coef.isZero()) {
-        if (a_coef.isZero())
+    const FieldElem qx = f.load(q.x), qy = f.load(q.y);
+    FieldElem z1sq = f.sqr(p.z);
+    FieldElem a_coef = f.add(f.mul(qy, z1sq), p.y);           // A
+    FieldElem b_coef = f.add(f.mul(qx, p.z), p.x);            // B
+    if (f.isZero(b_coef)) {
+        if (f.isZero(a_coef))
             return doubleProj(p);
-        return {MpUint(1), MpUint(), MpUint()}; // q == -p
+        return infinityProj(); // q == -p
     }
-    MpUint c_coef = f.mul(p.z, b_coef);                    // C
-    MpUint d_coef = f.mul(f.sqr(b_coef),
-                          f.add(c_coef, f.mul(a_, z1sq))); // D
-    MpUint z3 = f.sqr(c_coef);
-    MpUint e_coef = f.mul(a_coef, c_coef);                 // E
-    MpUint x3 = f.add(f.add(f.sqr(a_coef), d_coef), e_coef);
-    MpUint f_coef = f.add(x3, f.mul(q.x, z3));             // F
-    MpUint g_coef = f.mul(f.add(q.x, q.y), f.sqr(z3));     // G
-    MpUint y3 = f.add(f.mul(f.add(e_coef, z3), f_coef), g_coef);
+    FieldElem c_coef = f.mul(p.z, b_coef);                    // C
+    FieldElem d_coef = f.mul(f.sqr(b_coef),
+                             f.add(c_coef, f.mul(aElem_, z1sq))); // D
+    FieldElem z3 = f.sqr(c_coef);
+    FieldElem e_coef = f.mul(a_coef, c_coef);                 // E
+    FieldElem x3 = f.add(f.add(f.sqr(a_coef), d_coef), e_coef);
+    FieldElem f_coef = f.add(x3, f.mul(qx, z3));              // F
+    FieldElem g_coef = f.mul(f.add(qx, qy), f.sqr(z3));       // G
+    FieldElem y3 = f.add(f.mul(f.add(e_coef, z3), f_coef), g_coef);
     return {x3, y3, z3};
 }
 

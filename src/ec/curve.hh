@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "mpint/binary_field.hh"
+#include "mpint/field_elem.hh"
 #include "mpint/mpuint.hh"
 #include "mpint/prime_field.hh"
 
@@ -42,17 +43,21 @@ struct AffinePoint
 };
 
 /**
- * A point in projective coordinates.  For prime curves these are
- * Jacobian ((X,Y,Z) -> (X/Z^2, Y/Z^3), infinity (1,1,0)); for binary
- * curves Lopez-Dahab ((X,Y,Z) -> (X/Z, Y/Z^2), infinity (1,0,0)).
+ * A point in projective coordinates, on field elements of its curve's
+ * field.  For prime curves these are Jacobian ((X,Y,Z) -> (X/Z^2,
+ * Y/Z^3), infinity (1,1,0)); for binary curves Lopez-Dahab ((X,Y,Z)
+ * -> (X/Z, Y/Z^2), infinity (1,0,0)).  Only the curve knows how many
+ * words of an element count, so the point carries its own infinity
+ * flag, set exactly when Z is zero.
  */
 struct ProjPoint
 {
-    MpUint x;
-    MpUint y;
-    MpUint z; ///< zero indicates the point at infinity
+    FieldElem x;
+    FieldElem y;
+    FieldElem z;
+    bool infinity = false;
 
-    bool isInfinity() const { return z.isZero(); }
+    bool isInfinity() const { return infinity; }
 };
 
 /** Base interface shared by prime and binary curves. */
@@ -87,6 +92,11 @@ class Curve
 
     /** @name Group operations (affine interface) */
     /** @{ */
+    /**
+     * True for infinity and for a point whose coordinates are field
+     * elements (0 <= x, y < p; degree below m) satisfying the curve
+     * equation (SEC 1, 3.2.2.1).
+     */
     virtual bool onCurve(const AffinePoint &p) const = 0;
     virtual AffinePoint negate(const AffinePoint &p) const = 0;
     virtual AffinePoint addAffine(const AffinePoint &p,
@@ -94,8 +104,13 @@ class Curve
     virtual AffinePoint doubleAffine(const AffinePoint &p) const = 0;
     /** @} */
 
-    /** @name Group operations (projective, the evaluated fast path) */
+    /**
+     * @name Group operations (projective, the evaluated fast path)
+     * The formulas run on FieldElem; MpUint appears only where a point
+     * enters (toProj, addMixed's affine operand) or leaves (toAffine).
+     */
     /** @{ */
+    /** Loads @p p, reducing any coordinate outside the field. */
     virtual ProjPoint toProj(const AffinePoint &p) const = 0;
     virtual AffinePoint toAffine(const ProjPoint &p) const = 0;
     virtual ProjPoint doubleProj(const ProjPoint &p) const = 0;
@@ -112,12 +127,13 @@ class Curve
     toAffineBatch(const std::vector<ProjPoint> &points) const;
 
     /** The field inversion used by toAffineBatch. */
-    virtual MpUint fieldInv(const MpUint &a) const = 0;
+    virtual FieldElem fieldInv(const FieldElem &a) const = 0;
     /** The field multiplication used by toAffineBatch. */
-    virtual MpUint fieldMul(const MpUint &a, const MpUint &b) const = 0;
+    virtual FieldElem fieldMul(const FieldElem &a,
+                               const FieldElem &b) const = 0;
     /** Completes an affine point from x = X * zinvA, y = Y * zinvB. */
     virtual AffinePoint affineFromProj(const ProjPoint &p,
-                                       const MpUint &zinv) const = 0;
+                                       const FieldElem &zinv) const = 0;
     /** @} */
 
   protected:
@@ -167,15 +183,26 @@ class PrimeCurve : public Curve
     ProjPoint doubleProj(const ProjPoint &p) const override;
     ProjPoint addMixed(const ProjPoint &p,
                        const AffinePoint &q) const override;
-    MpUint fieldInv(const MpUint &a) const override;
-    MpUint fieldMul(const MpUint &a, const MpUint &b) const override;
+    FieldElem fieldInv(const FieldElem &a) const override;
+    FieldElem fieldMul(const FieldElem &a,
+                       const FieldElem &b) const override;
     AffinePoint affineFromProj(const ProjPoint &p,
-                               const MpUint &zinv) const override;
+                               const FieldElem &zinv) const override;
 
   private:
+    /** Loads a and the formulas' small constants as elements. */
+    void initElems();
+
+    /** The point at infinity, (1, 1, 0). */
+    ProjPoint infinityProj() const
+    {
+        return {one_, one_, FieldElem{}, true};
+    }
+
     PrimeField field_;
     MpUint a_;
     MpUint b_;
+    FieldElem aElem_, one_, two_, three_, four_, eight_;
 };
 
 /** Binary curve over GF(2^m): y^2 + xy = x^3 + ax^2 + b. */
@@ -209,15 +236,26 @@ class BinaryCurve : public Curve
     ProjPoint doubleProj(const ProjPoint &p) const override;
     ProjPoint addMixed(const ProjPoint &p,
                        const AffinePoint &q) const override;
-    MpUint fieldInv(const MpUint &a) const override;
-    MpUint fieldMul(const MpUint &a, const MpUint &b) const override;
+    FieldElem fieldInv(const FieldElem &a) const override;
+    FieldElem fieldMul(const FieldElem &a,
+                       const FieldElem &b) const override;
     AffinePoint affineFromProj(const ProjPoint &p,
-                               const MpUint &zinv) const override;
+                               const FieldElem &zinv) const override;
 
   private:
+    /** Loads a, b and 1 as elements. */
+    void initElems();
+
+    /** The point at infinity, (1, 0, 0). */
+    ProjPoint infinityProj() const
+    {
+        return {one_, FieldElem{}, FieldElem{}, true};
+    }
+
     BinaryField field_;
     MpUint a_;
     MpUint b_;
+    FieldElem aElem_, bElem_, one_;
 };
 
 /** Identifiers for the curves of the study. */

@@ -15,20 +15,18 @@ namespace ulecc
 std::vector<int>
 recodeNaf(const MpUint &k)
 {
+    // The textbook loop -- while v != 0: d = 2 - (v mod 4) if v is odd,
+    // else 0; v = (v - d) / 2 -- on bit positions: after i steps the
+    // remaining v is (k >> i) + c with a carry c in {0, 1}, so no step
+    // builds an MpUint.
     std::vector<int> digits;
-    MpUint v = k;
-    while (!v.isZero()) {
-        int d = 0;
-        if (v.isOdd()) {
-            uint32_t mod4 = v.bits(0, 2);
-            d = (mod4 == 1) ? 1 : -1; // centered residue mod 4
-            if (d > 0)
-                v = v.sub(MpUint(1));
-            else
-                v = v.add(MpUint(1));
-        }
+    const int n = k.bitLength();
+    int c = 0;
+    for (int i = 0; i < n || c != 0; ++i) {
+        int v4 = (static_cast<int>(k.bits(i, 2)) + c) & 3; // v mod 4
+        int d = (v4 & 1) ? 2 - v4 : 0;
         digits.push_back(d);
-        v = v.shiftRight(1);
+        c = (k.bit(i) + c - d) / 2;
     }
     return digits;
 }
@@ -40,27 +38,27 @@ recodeSigned135(const MpUint &k)
     // {+-1, +-3, +-5} so only 3P and 5P need precomputing (paper
     // Section 4.1).  At each odd position, prefer the centered residue
     // mod 16 when it lands in the digit set, otherwise fall back to the
-    // centered residue mod 8 (always in {+-1, +-3}).
+    // centered residue mod 8 (always in {+-1, +-3}).  As in recodeNaf
+    // the remaining value is tracked as (k >> i) + c, here with a small
+    // signed carry (|c| <= 5); it is zero once the bits left fit the
+    // 4-bit window and cancel the carry.
     std::vector<int> digits;
-    MpUint v = k;
-    auto centered = [](uint32_t r, uint32_t modulus) -> int {
-        return (r >= modulus / 2) ? static_cast<int>(r)
-                                        - static_cast<int>(modulus)
-                                  : static_cast<int>(r);
+    const int n = k.bitLength();
+    auto centered = [](int r, int modulus) {
+        return r >= modulus / 2 ? r - modulus : r;
     };
-    while (!v.isZero()) {
+    int c = 0;
+    for (int i = 0; i + 4 < n || static_cast<int>(k.bits(i, 4)) + c != 0;
+         ++i) {
+        int v16 = (static_cast<int>(k.bits(i, 4)) + c) & 15; // v mod 16
         int d = 0;
-        if (v.isOdd()) {
-            int r16 = centered(v.bits(0, 4), 16);
-            int r8 = centered(v.bits(0, 3), 8);
+        if (v16 & 1) {
+            int r16 = centered(v16, 16);
+            int r8 = centered(v16 & 7, 8);
             d = (r16 == 5 || r16 == -5) ? r16 : r8;
-            if (d > 0)
-                v = v.sub(MpUint(static_cast<uint32_t>(d)));
-            else
-                v = v.add(MpUint(static_cast<uint32_t>(-d)));
         }
         digits.push_back(d);
-        v = v.shiftRight(1);
+        c = (k.bit(i) + c - d) / 2;
     }
     return digits;
 }

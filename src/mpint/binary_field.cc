@@ -216,55 +216,57 @@ reduceAnyWords(uint32_t *c, int top_words, int m,
     }
 }
 
-/** Widest operand the comb takes: its 2K-word product fits MpUint. */
-constexpr int kCombMaxWords = MpUint::maxLimbs / 2;
-
 /**
  * Paper Algorithm 6 on K-word operands, out[0..2K) = a * b: the
- * left-to-right comb with windows of width w = 4 over fixed arrays.
- * Precompute Bu = u(x) * b(x) for all 16 window values (K + 1 words
- * each), then scan the multiplier a window-column at a time, XORing
- * Bu into C{i} and shifting C left by w in place between columns.
+ * left-to-right comb with windows of width w = 4 over fixed arrays of
+ * 64-bit limbs (a 32-bit word pair each, so half the rows and columns
+ * of a word-by-word comb).  Precompute Bu = u(x) * b(x) for all 16
+ * window values (H + 1 limbs each), then scan the multiplier a
+ * window-column at a time, XORing Bu into C{i} and shifting C left by
+ * w in place between columns.
  */
 template <int K>
 void
-combWords(const uint32_t *a, const uint32_t *b, uint32_t *out)
+combWords(const uint32_t *a32, const uint32_t *b32, uint32_t *out)
 {
-    constexpr int w = 4;
-    uint32_t bu[1 << w][K + 1];
-    for (int i = 0; i < K; ++i) {
+    constexpr int w = 4, H = (K + 1) / 2;
+    uint64_t a[H], b[H];
+    packLimbs64(a32, K, a);
+    packLimbs64(b32, K, b);
+    uint64_t bu[1 << w][H + 1];
+    for (int i = 0; i < H; ++i) {
         bu[0][i] = 0;
         bu[1][i] = b[i];
     }
-    bu[0][K] = bu[1][K] = 0;
+    bu[0][H] = bu[1][H] = 0;
     for (int u = 2; u < (1 << w); u += 2) {
-        uint32_t carry = 0;
-        for (int i = 0; i <= K; ++i) {
-            uint32_t v = bu[u / 2][i];
+        uint64_t carry = 0;
+        for (int i = 0; i <= H; ++i) {
+            uint64_t v = bu[u / 2][i];
             bu[u][i] = (v << 1) | carry;
             bu[u + 1][i] = bu[u][i] ^ bu[1][i];
-            carry = v >> 31;
+            carry = v >> 63;
         }
     }
-    // Unrolled over the K words: about 2.5x faster than the rolled
-    // loops at -O2, which round-trip every XOR through memory.
-    uint32_t c[2 * K] = {};
-    for (int j = (32 / w) - 1; j >= 0; --j) {
-#pragma GCC unroll 32
-        for (int i = 0; i < K; ++i) {
-            const uint32_t *row = bu[(a[i] >> (w * j)) & 0xf];
-#pragma GCC unroll 32
-            for (int l = 0; l <= K; ++l)
+    // Unrolled over the limbs: the rolled loops round-trip every XOR
+    // through memory at -O2.
+    uint64_t c[2 * H] = {};
+    for (int j = (64 / w) - 1; j >= 0; --j) {
+#pragma GCC unroll 16
+        for (int i = 0; i < H; ++i) {
+            const uint64_t *row = bu[(a[i] >> (w * j)) & 0xf];
+#pragma GCC unroll 16
+            for (int l = 0; l <= H; ++l)
                 c[i + l] ^= row[l];
         }
         if (j != 0) {
-#pragma GCC unroll 64
-            for (int i = 2 * K - 1; i > 0; --i)
-                c[i] = (c[i] << w) | (c[i - 1] >> (32 - w));
+#pragma GCC unroll 32
+            for (int i = 2 * H - 1; i > 0; --i)
+                c[i] = (c[i] << w) | (c[i - 1] >> (64 - w));
             c[0] <<= w;
         }
     }
-    std::copy(c, c + 2 * K, out);
+    unpackLimbs64(c, 2 * K, out);
 }
 
 } // namespace
@@ -281,6 +283,10 @@ BinaryField::BinaryField(const MpUint &f)
     if (f.bit(0) != 1)
         throw UleccError(Errc::InvalidInput,
                          "BinaryField: reduction polynomial needs +1 term");
+    if (words_ > kFieldElemWords)
+        throw UleccError(Errc::InvalidInput,
+                         "BinaryField: degree above "
+                         + std::to_string(32 * kFieldElemWords));
     for (int i = m_ - 1; i >= 1; --i) {
         if (f.bit(i))
             mid_.push_back(i);
@@ -292,20 +298,135 @@ BinaryField::BinaryField(NistBinary which)
 {
 }
 
+FieldElem
+BinaryField::elemOf(const MpUint &v) const
+{
+    FieldElem e;
+    for (int i = 0; i < words_; ++i)
+        e.w[i] = v.limbU(i);
+    return e;
+}
+
+FieldElem
+BinaryField::load(const MpUint &a) const
+{
+    return inRange(a) ? elemOf(a) : elemOf(reduce(a));
+}
+
+FieldElem
+BinaryField::add(const FieldElem &a, const FieldElem &b) const
+{
+    notifyFieldOp(FieldOp::Add, m_, true);
+    FieldElem r;
+    for (int i = 0; i < words_; ++i)
+        r.w[i] = a.w[i] ^ b.w[i];
+    return r;
+}
+
+FieldElem
+BinaryField::mul(const FieldElem &a, const FieldElem &b) const
+{
+    notifyFieldOp(FieldOp::Mul, m_, true);
+    uint32_t c[2 * kFieldElemWords];
+    combInto(a.w, b.w, c);
+    FieldElem r;
+    reduceWords(c, 2 * words_, r.w);
+    return r;
+}
+
+FieldElem
+BinaryField::sqr(const FieldElem &a) const
+{
+    // Zero-interleave each byte via the 256-entry spread table
+    // (Section 4.2.3), then fold.
+    notifyFieldOp(FieldOp::Sqr, m_, true);
+    const auto &tbl = squareSpreadTable();
+    uint32_t c[2 * kFieldElemWords];
+    for (int i = 0; i < words_; ++i) {
+        uint32_t v = a.w[i];
+        c[2 * i] = tbl[v & 0xFF]
+            | (static_cast<uint32_t>(tbl[(v >> 8) & 0xFF]) << 16);
+        c[2 * i + 1] = tbl[(v >> 16) & 0xFF]
+            | (static_cast<uint32_t>(tbl[(v >> 24) & 0xFF]) << 16);
+    }
+    FieldElem r;
+    reduceWords(c, 2 * words_, r.w);
+    return r;
+}
+
+FieldElem
+BinaryField::inv(const FieldElem &a) const
+{
+    // Polynomial extended Euclidean algorithm (Guide to ECC, Algorithm
+    // 2.48) on words: a*g1 == u and a*g2 == v (mod f) while u and v
+    // fall to 1; u ^= v << j cancels u's top term.
+    notifyFieldOp(FieldOp::Inv, m_, true);
+    if (isZero(a))
+        throw UleccError(Errc::InvalidInput,
+                         "BinaryField: inverse of zero");
+    constexpr int W = kFieldElemWords + 1; // f itself may need one more
+    const int n = m_ / 32 + 1;             // words of f
+    uint32_t ua[W] = {}, va[W] = {}, g1a[W] = {}, g2a[W] = {};
+    for (int i = 0; i < words_; ++i)
+        ua[i] = a.w[i];
+    for (int i = 0; i < n; ++i)
+        va[i] = f_.limbU(i);
+    g1a[0] = 1;
+    uint32_t *u = ua, *v = va, *g1 = g1a, *g2 = g2a;
+    auto degree = [](const uint32_t *x, int words) {
+        for (int i = words - 1; i >= 0; --i) {
+            if (x[i])
+                return 32 * i + 31 - __builtin_clz(x[i]);
+        }
+        return -1;
+    };
+    // x ^= y << j over the n words of a polynomial of degree < 32n.
+    auto xorShifted = [n](uint32_t *x, const uint32_t *y, int j) {
+        const int q = j / 32, r = j % 32;
+        for (int i = 0; i + q < n; ++i) {
+            x[i + q] ^= y[i] << r;
+            if (r && i + q + 1 < n)
+                x[i + q + 1] ^= y[i] >> (32 - r);
+        }
+    };
+    int du = degree(u, n), dv = m_;
+    while (du != 0) {
+        if (du < 0)
+            throw UleccError(Errc::Internal,
+                             "BinaryField::inv: element not invertible "
+                             "(reducible polynomial?)");
+        int j = du - dv;
+        if (j < 0) {
+            std::swap(u, v);
+            std::swap(g1, g2);
+            std::swap(du, dv);
+            j = -j;
+        }
+        xorShifted(u, v, j);
+        xorShifted(g1, g2, j);
+        du = degree(u, du / 32 + 1);
+    }
+    // deg(g1) <= m - deg(v) throughout, so g1 fits n words but may
+    // still need one fold.
+    FieldElem r;
+    reduceWords(g1, n, r.w);
+    return r;
+}
+
 MpUint
 BinaryField::add(const MpUint &a, const MpUint &b) const
 {
-    notifyFieldOp(FieldOp::Add, m_, true);
-    return a.bitXor(b);
+    return store(add(load(a), load(b)));
 }
 
 MpUint
 BinaryField::mul(const MpUint &a, const MpUint &b) const
 {
-    notifyFieldOp(FieldOp::Mul, m_, true);
-    uint32_t c[2 * kCombMaxWords];
-    combInto(a, b, c);
-    return reduceWords(c, 2 * words_);
+    if (a.size() > words_ || b.size() > words_)
+        throw UleccError(Errc::InvalidInput,
+                         "BinaryField::mul: operand wider than "
+                         + std::to_string(words_) + " words");
+    return store(mul(load(a), load(b)));
 }
 
 MpUint
@@ -318,37 +439,13 @@ BinaryField::mulClmul(const MpUint &a, const MpUint &b) const
 MpUint
 BinaryField::sqr(const MpUint &a) const
 {
-    notifyFieldOp(FieldOp::Sqr, m_, true);
-    return reduce(polySqr(a));
+    return store(sqr(load(a)));
 }
 
 MpUint
 BinaryField::inv(const MpUint &a) const
 {
-    // Polynomial extended Euclidean algorithm
-    // (Guide to ECC, Algorithm 2.48).
-    notifyFieldOp(FieldOp::Inv, m_, true);
-    if (a.isZero())
-        throw UleccError(Errc::InvalidInput,
-                         "BinaryField: inverse of zero");
-    MpUint u = reduce(a), v = f_;
-    MpUint g1(1), g2;
-    const MpUint one(1);
-    while (u != one && !u.isZero()) {
-        int j = u.bitLength() - v.bitLength();
-        if (j < 0) {
-            std::swap(u, v);
-            std::swap(g1, g2);
-            j = -j;
-        }
-        u = u.bitXor(v.shiftLeft(j));
-        g1 = g1.bitXor(g2.shiftLeft(j));
-    }
-    if (u != one)
-        throw UleccError(Errc::Internal,
-                         "BinaryField::inv: element not invertible "
-                         "(reducible polynomial?)");
-    return reduce(g1);
+    return store(inv(load(a)));
 }
 
 MpUint
@@ -420,11 +517,15 @@ BinaryField::reduce(const MpUint &wide) const
     uint32_t c[MpUint::maxLimbs + 1] = {0};
     for (int i = 0; i < wide.size(); ++i)
         c[i] = wide.limbU(i);
-    return reduceWords(c, wide.size());
+    uint32_t r[kFieldElemWords];
+    reduceWords(c, wide.size(), r);
+    MpUint out = MpUint::fromLimbs(r, words_);
+    assert(out.bitLength() <= m_);
+    return out;
 }
 
-MpUint
-BinaryField::reduceWords(uint32_t *c, int n) const
+void
+BinaryField::reduceWords(uint32_t *c, int n, uint32_t *r) const
 {
     // Exponents as in nistBinaryPoly (paper Eq. 4.8 - 4.12).
     switch (kind_) {
@@ -435,9 +536,7 @@ BinaryField::reduceWords(uint32_t *c, int n) const
       case NistBinary::B571: reduceNistWords<571, 10, 5, 2>(c, n); break;
       default: reduceAnyWords(c, n, m_, mid_); break;
     }
-    MpUint r = MpUint::fromLimbs(c, m_ / 32 + 1);
-    assert(r.bitLength() <= m_);
-    return r;
+    std::copy(c, c + words_, r);
 }
 
 MpUint
@@ -480,35 +579,38 @@ BinaryField::halfTrace(const MpUint &a) const
 MpUint
 BinaryField::polyMulComb(const MpUint &a, const MpUint &b) const
 {
-    uint32_t c[2 * kCombMaxWords];
-    combInto(a, b, c);
-    return MpUint::fromLimbs(c, 2 * words_);
-}
-
-void
-BinaryField::combInto(const MpUint &a, const MpUint &b, uint32_t *c) const
-{
     const int k = words_;
-    if (k > kCombMaxWords)
-        throw UleccError(Errc::InvalidInput,
-                         "BinaryField::polyMulComb: field too wide");
     if (a.size() > k || b.size() > k)
         throw UleccError(Errc::InvalidInput,
                          "BinaryField::polyMulComb: operand wider than "
                          + std::to_string(k) + " words");
-    uint32_t aw[kCombMaxWords], bw[kCombMaxWords];
-    for (int i = 0; i < kCombMaxWords; ++i) {
+    uint32_t aw[kFieldElemWords], bw[kFieldElemWords];
+    for (int i = 0; i < k; ++i) {
         aw[i] = a.limbU(i);
         bw[i] = b.limbU(i);
     }
-    switch (k) {
-      case 6: return combWords<6>(aw, bw, c);   // B-163
-      case 8: return combWords<8>(aw, bw, c);   // B-233
-      case 9: return combWords<9>(aw, bw, c);   // B-283
-      case 13: return combWords<13>(aw, bw, c); // B-409
-      case 18: return combWords<18>(aw, bw, c); // B-571
-      default: return combWords<kCombMaxWords>(aw, bw, c); // zero-padded
+    uint32_t c[2 * kFieldElemWords];
+    combInto(aw, bw, c);
+    return MpUint::fromLimbs(c, 2 * k);
+}
+
+void
+BinaryField::combInto(const uint32_t *a, const uint32_t *b,
+                      uint32_t *c) const
+{
+    switch (words_) {
+      case 6: return combWords<6>(a, b, c);   // B-163
+      case 8: return combWords<8>(a, b, c);   // B-233
+      case 9: return combWords<9>(a, b, c);   // B-283
+      case 13: return combWords<13>(a, b, c); // B-409
+      case 18: return combWords<18>(a, b, c); // B-571
+      default: break;
     }
+    // Any other width, zero-padded to the widest.
+    uint32_t aw[kFieldElemWords] = {}, bw[kFieldElemWords] = {};
+    std::copy(a, a + words_, aw);
+    std::copy(b, b + words_, bw);
+    combWords<kFieldElemWords>(aw, bw, c);
 }
 
 MpUint

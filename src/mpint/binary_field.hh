@@ -10,6 +10,11 @@
  * standard reduction polynomials (Eq. 4.8 - 4.12), and inversion by the
  * polynomial extended Euclidean algorithm and by Fermat's little theorem
  * (the accelerator path).
+ *
+ * As in PrimeField, the arithmetic proper runs on FieldElem: XOR, the
+ * comb and the NIST fold in place, squaring by spreading into a stack
+ * buffer, inversion by the polynomial EEA on words.  Each element op
+ * notifies once; the MpUint overloads load, run it and store.
  */
 
 #ifndef ULECC_MPINT_BINARY_FIELD_HH
@@ -18,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "mpint/field_elem.hh"
 #include "mpint/mpuint.hh"
 
 namespace ulecc
@@ -73,7 +79,42 @@ class BinaryField
      */
     const std::vector<int> &midTerms() const { return mid_; }
 
-    /** Field addition == subtraction == XOR. */
+    /** @name Element interface (the curve formulas' hot path) */
+    /** @{ */
+
+    /** @p a mod f(x) as an element (a polynomial of degree >= m is
+     * reduced). */
+    FieldElem load(const MpUint &a) const;
+
+    /** The element's value as an MpUint. */
+    MpUint store(const FieldElem &a) const
+    {
+        return MpUint::fromLimbs(a.w, words_);
+    }
+
+    /** True iff deg(a) < m: @p a is already a field element. */
+    bool inRange(const MpUint &a) const { return a.bitLength() <= m_; }
+
+    bool isZero(const FieldElem &a) const { return elemIsZero(a, words_); }
+
+    FieldElem add(const FieldElem &a, const FieldElem &b) const;
+    FieldElem sub(const FieldElem &a, const FieldElem &b) const
+    {
+        return add(a, b);
+    }
+    FieldElem mul(const FieldElem &a, const FieldElem &b) const;
+    FieldElem sqr(const FieldElem &a) const;
+
+    /**
+     * a^-1 by the polynomial extended Euclidean algorithm (Guide to
+     * ECC, Algorithm 2.48) on fixed words.  Throws Errc::InvalidInput
+     * for zero.
+     */
+    FieldElem inv(const FieldElem &a) const;
+
+    /** @} */
+
+    /** Field addition == subtraction == XOR (operands reduced first). */
     MpUint add(const MpUint &a, const MpUint &b) const;
 
     /** Alias of add (binary fields are characteristic 2). */
@@ -148,12 +189,18 @@ class BinaryField
     MpUint polySqr(const MpUint &a) const;
 
   private:
-    /** polyMulComb into the 2*words() words at @p c. */
-    void combInto(const MpUint &a, const MpUint &b, uint32_t *c) const;
+    /**
+     * The comb product of the words() words at @p a and @p b into the
+     * 2*words() words at @p c.
+     */
+    void combInto(const uint32_t *a, const uint32_t *b, uint32_t *c) const;
 
-    /** Folds the @p n words at @p c modulo f(x) in place; returns the
-     * reduced value. */
-    MpUint reduceWords(uint32_t *c, int n) const;
+    /** Folds the @p n words at @p c modulo f(x) in place and copies the
+     * words() words of the result to @p r. */
+    void reduceWords(uint32_t *c, int n, uint32_t *r) const;
+
+    /** The element holding @p v, which must be of degree below m. */
+    FieldElem elemOf(const MpUint &v) const;
 
     MpUint f_;
     int m_;

@@ -13,9 +13,8 @@
 namespace ulecc
 {
 
-MpUint::MpUint(uint64_t v)
+MpUint::MpUint(uint64_t v) : MpUint()
 {
-    limbs_.fill(0);
     limbs_[0] = static_cast<uint32_t>(v);
     limbs_[1] = static_cast<uint32_t>(v >> 32);
     n_ = limbs_[1] ? 2 : (limbs_[0] ? 1 : 0);

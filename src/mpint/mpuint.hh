@@ -20,8 +20,10 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace ulecc
 {
@@ -34,7 +36,7 @@ class MpUint
     static constexpr int maxLimbs = 40;
 
     /** Constructs zero. */
-    MpUint() : n_(0) { limbs_.fill(0); }
+    MpUint() : n_(0) { clearLimbs(std::make_index_sequence<maxLimbs / 4>()); }
 
     /** Constructs from a 64-bit value. */
     explicit MpUint(uint64_t v);
@@ -179,6 +181,21 @@ class MpUint
 
   private:
     void trim();
+
+    /**
+     * Zeroes the limb array with straight-line 16-byte stores.  At -O2
+     * limbs_.fill(0) (or any zeroing loop) becomes rep stos, whose
+     * start-up cost of about 30 cycles every temporary would pay.
+     */
+    template <size_t... I>
+    void
+    clearLimbs(std::index_sequence<I...>)
+    {
+        static_assert(maxLimbs % 4 == 0, "limbs clear in groups of four");
+        typedef uint32_t Zero4 __attribute__((vector_size(16)));
+        const Zero4 zero = {0, 0, 0, 0};
+        (std::memcpy(&limbs_[4 * I], &zero, sizeof zero), ...);
+    }
 
     std::array<uint32_t, maxLimbs> limbs_;
     int n_;

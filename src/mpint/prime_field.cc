@@ -82,53 +82,71 @@ detectKind(const MpUint &p)
 
 constexpr int kMaxWords = 17;
 
-/** t[0..2k) = a * b by operand scanning (paper Algorithm 2). */
+using u128 = unsigned __int128;
+
+/**
+ * t[0..2K) = a * b by operand scanning (paper Algorithm 2), in rows of
+ * 64-bit limbs: a quarter of the 32-bit row count.
+ */
+template <int K>
 void
-mulWords(const MpUint &a, const MpUint &b, int k, uint32_t *t)
+mulWords(const uint32_t *a, const uint32_t *b, uint32_t *t)
 {
-    std::fill(t, t + 2 * k, 0u);
-    for (int i = 0; i < k; ++i) {
-        uint64_t u = 0;
-        uint64_t bi = b.limbU(i);
-        for (int j = 0; j < k; ++j) {
-            u += static_cast<uint64_t>(a.limbU(j)) * bi + t[i + j];
-            t[i + j] = static_cast<uint32_t>(u);
-            u >>= 32;
+    constexpr int H = (K + 1) / 2;
+    uint64_t x[H], y[H], z[2 * H];
+    packLimbs64(a, K, x);
+    packLimbs64(b, K, y);
+    for (int i = 0; i < 2 * H; ++i)
+        z[i] = 0;
+#pragma GCC unroll 9
+    for (int i = 0; i < H; ++i) {
+        uint64_t c = 0;
+#pragma GCC unroll 9
+        for (int j = 0; j < H; ++j) {
+            u128 s = static_cast<u128>(x[j]) * y[i] + z[i + j] + c;
+            z[i + j] = static_cast<uint64_t>(s);
+            c = static_cast<uint64_t>(s >> 64);
         }
-        t[i + k] = static_cast<uint32_t>(u);
+        z[i + H] = c;
     }
+    unpackLimbs64(z, 2 * K, t);
 }
 
-/** t[0..2k) = a^2: cross products once, doubled, plus the squares. */
-void
-sqrWords(const MpUint &a, int k, uint32_t *t)
+/** True iff the k words at @p r are >= those at @p p. */
+inline bool
+geqWords(const uint32_t *r, const uint32_t *p, int k)
 {
-    std::fill(t, t + 2 * k, 0u);
-    for (int i = 1; i < k; ++i) {
-        uint64_t u = 0;
-        uint64_t ai = a.limbU(i);
-        for (int j = 0; j < i; ++j) {
-            u += static_cast<uint64_t>(a.limbU(j)) * ai + t[i + j];
-            t[i + j] = static_cast<uint32_t>(u);
-            u >>= 32;
-        }
-        t[2 * i] = static_cast<uint32_t>(u);
+    for (int i = k - 1; i >= 0; --i) {
+        if (r[i] != p[i])
+            return r[i] > p[i];
     }
-    uint32_t top = 0;
-    for (int i = 0; i < 2 * k; ++i) {
-        uint32_t next = t[i] >> 31;
-        t[i] = (t[i] << 1) | top;
-        top = next;
+    return true;
+}
+
+/** r -= p over k words; returns the borrow out. */
+inline uint32_t
+subWords(uint32_t *r, const uint32_t *p, int k)
+{
+    uint64_t borrow = 0;
+    for (int i = 0; i < k; ++i) {
+        uint64_t d = static_cast<uint64_t>(r[i]) - p[i] - borrow;
+        r[i] = static_cast<uint32_t>(d);
+        borrow = (d >> 32) & 1;
     }
+    return static_cast<uint32_t>(borrow);
+}
+
+/** r += p over k words; returns the carry out. */
+inline uint32_t
+addWords(uint32_t *r, const uint32_t *p, int k)
+{
     uint64_t c = 0;
     for (int i = 0; i < k; ++i) {
-        uint64_t sq = static_cast<uint64_t>(a.limbU(i)) * a.limbU(i);
-        c += static_cast<uint64_t>(t[2 * i]) + static_cast<uint32_t>(sq);
-        t[2 * i] = static_cast<uint32_t>(c);
-        c = (c >> 32) + t[2 * i + 1] + (sq >> 32);
-        t[2 * i + 1] = static_cast<uint32_t>(c);
+        c += static_cast<uint64_t>(r[i]) + p[i];
+        r[i] = static_cast<uint32_t>(c);
         c >>= 32;
     }
+    return static_cast<uint32_t>(c);
 }
 
 /**
@@ -154,33 +172,12 @@ carryColumns(const int64_t *col, int k, uint32_t *r)
  * both loops run a bounded handful of times.
  */
 void
-normalize(uint32_t *r, int64_t top, const MpUint &p, int k)
+normalize(uint32_t *r, int64_t top, const uint32_t *p, int k)
 {
-    while (top < 0) {
-        uint64_t c = 0;
-        for (int i = 0; i < k; ++i) {
-            c += static_cast<uint64_t>(r[i]) + p.limbU(i);
-            r[i] = static_cast<uint32_t>(c);
-            c >>= 32;
-        }
-        top += static_cast<int64_t>(c);
-    }
-    auto belowP = [&] {
-        for (int i = k - 1; i >= 0; --i) {
-            if (r[i] != p.limbU(i))
-                return r[i] < p.limbU(i);
-        }
-        return false;
-    };
-    while (top > 0 || !belowP()) {
-        uint64_t borrow = 0;
-        for (int i = 0; i < k; ++i) {
-            uint64_t d = static_cast<uint64_t>(r[i]) - p.limbU(i) - borrow;
-            r[i] = static_cast<uint32_t>(d);
-            borrow = (d >> 32) & 1;
-        }
-        top -= static_cast<int64_t>(borrow);
-    }
+    while (top < 0)
+        top += addWords(r, p, k);
+    while (top > 0 || geqWords(r, p, k))
+        top -= subWords(r, p, k);
 }
 
 /**
@@ -190,7 +187,7 @@ normalize(uint32_t *r, int64_t top, const MpUint &p, int k)
  * T < p.  Chunk cj is the words c[2j], c[2j+1].
  */
 void
-reduceP192Words(const uint32_t *c, const MpUint &p, uint32_t *r)
+reduceP192Words(const uint32_t *c, const uint32_t *p, uint32_t *r)
 {
     int64_t col[6];
     col[0] = int64_t(c[0]) + c[6] + c[10];
@@ -204,7 +201,7 @@ reduceP192Words(const uint32_t *c, const MpUint &p, uint32_t *r)
 
 /** FIPS 186-4 D.2.2: T + S1 + S2 - D1 - D2 of c[0..14). */
 void
-reduceP224Words(const uint32_t *c, const MpUint &p, uint32_t *r)
+reduceP224Words(const uint32_t *c, const uint32_t *p, uint32_t *r)
 {
     int64_t col[7];
     col[0] = int64_t(c[0]) - c[7] - c[11];
@@ -219,7 +216,7 @@ reduceP224Words(const uint32_t *c, const MpUint &p, uint32_t *r)
 
 /** FIPS 186-4 D.2.3: T + 2S1 + 2S2 + S3 + S4 - D1 - D2 - D3 - D4. */
 void
-reduceP256Words(const uint32_t *c, const MpUint &p, uint32_t *r)
+reduceP256Words(const uint32_t *c, const uint32_t *p, uint32_t *r)
 {
     int64_t col[8];
     col[0] = int64_t(c[0]) + c[8] + c[9] - c[11] - c[12] - c[13] - c[14];
@@ -240,7 +237,7 @@ reduceP256Words(const uint32_t *c, const MpUint &p, uint32_t *r)
 
 /** FIPS 186-4 D.2.4: T + 2S1 + S2 + S3 + S4 + S5 + S6 - D1 - D2 - D3. */
 void
-reduceP384Words(const uint32_t *c, const MpUint &p, uint32_t *r)
+reduceP384Words(const uint32_t *c, const uint32_t *p, uint32_t *r)
 {
     int64_t col[12];
     col[0] = int64_t(c[0]) + c[12] + c[21] + c[20] - c[23];
@@ -299,6 +296,131 @@ reduceP521Words(const uint32_t *c, uint32_t *r)
         std::fill(r, r + 17, 0u);
 }
 
+constexpr int kMaxLimbs64 = (kFieldElemWords + 1) / 2;
+
+/** w >>= s over n 64-bit limbs, 0 < s < 64. */
+inline void
+shiftRight64(uint64_t *w, int s, int n)
+{
+    for (int i = 0; i + 1 < n; ++i)
+        w[i] = (w[i] >> s) | (w[i + 1] << (64 - s));
+    w[n - 1] >>= s;
+}
+
+/**
+ * x = x / 2^s mod p, 0 < s < 64, for x < p: adds the multiple
+ * m = x * n0 mod 2^s of p that clears the low s bits (n0 = -p^-1 mod
+ * 2^64), then shifts.  x + m*p < 2^s * p, so the result stays < p.
+ */
+inline void
+halveMod(uint64_t *x, int s, const uint64_t *p, uint64_t n0, int n)
+{
+    uint64_t m = (x[0] * n0) & ((uint64_t(1) << s) - 1);
+    uint64_t t[kMaxLimbs64 + 1];
+    uint64_t c = 0;
+    for (int i = 0; i < n; ++i) {
+        u128 acc = static_cast<u128>(m) * p[i] + x[i] + c;
+        t[i] = static_cast<uint64_t>(acc);
+        c = static_cast<uint64_t>(acc >> 64);
+    }
+    t[n] = c;
+    for (int i = 0; i < n; ++i)
+        x[i] = (t[i] >> s) | (t[i + 1] << (64 - s));
+}
+
+/** a -= b over n limbs; returns the borrow out. */
+inline uint64_t
+sub64(uint64_t *a, const uint64_t *b, int n)
+{
+    uint64_t borrow = 0;
+    for (int i = 0; i < n; ++i) {
+        u128 d = static_cast<u128>(a[i]) - b[i] - borrow;
+        a[i] = static_cast<uint64_t>(d);
+        borrow = static_cast<uint64_t>(d >> 64) & 1;
+    }
+    return borrow;
+}
+
+/** a += b over n limbs (the carry out is dropped). */
+inline void
+add64(uint64_t *a, const uint64_t *b, int n)
+{
+    uint64_t c = 0;
+    for (int i = 0; i < n; ++i) {
+        u128 s = static_cast<u128>(a[i]) + b[i] + c;
+        a[i] = static_cast<uint64_t>(s);
+        c = static_cast<uint64_t>(s >> 64);
+    }
+}
+
+inline bool
+geq64(const uint64_t *a, const uint64_t *b, int n)
+{
+    for (int i = n - 1; i >= 0; --i) {
+        if (a[i] != b[i])
+            return a[i] > b[i];
+    }
+    return true;
+}
+
+inline bool
+isWord64(const uint64_t *a, uint64_t v, int n)
+{
+    uint64_t acc = a[0] ^ v;
+    for (int i = 1; i < n; ++i)
+        acc |= a[i];
+    return acc == 0;
+}
+
+/**
+ * Binary inversion (Guide to ECC, Algorithm 2.22) on n 64-bit limbs:
+ * u and v run from (a, p) down to 1 while a*x1 == u and a*x2 == v
+ * (mod p).  A run of s trailing zeros of u (v) is shifted out at once
+ * and x1 (x2) divided by 2^s mod p in one step.  The inverse is
+ * unique, so the result is the MpUint algorithm's.  Returns false
+ * when a is not invertible.
+ */
+bool
+invLimbs(const uint64_t *a, const uint64_t *p, uint64_t n0, int n,
+         uint64_t *out)
+{
+    uint64_t u[kMaxLimbs64], v[kMaxLimbs64];
+    uint64_t x1[kMaxLimbs64], x2[kMaxLimbs64];
+    for (int i = 0; i < n; ++i) {
+        u[i] = a[i];
+        v[i] = p[i];
+        x1[i] = 0;
+        x2[i] = 0;
+    }
+    x1[0] = 1;
+    auto strip = [&](uint64_t *w, uint64_t *x) {
+        while (!(w[0] & 1)) {
+            int s = w[0] ? __builtin_ctzll(w[0]) : 63;
+            shiftRight64(w, s, n);
+            halveMod(x, s, p, n0, n);
+        }
+    };
+    while (!isWord64(u, 1, n) && !isWord64(v, 1, n)) {
+        if (isWord64(u, 0, n) || isWord64(v, 0, n))
+            return false;
+        strip(u, x1);
+        strip(v, x2);
+        if (geq64(u, v, n)) {
+            sub64(u, v, n);
+            if (sub64(x1, x2, n))
+                add64(x1, p, n);
+        } else {
+            sub64(v, u, n);
+            if (sub64(x2, x1, n))
+                add64(x2, p, n);
+        }
+    }
+    const uint64_t *x = isWord64(u, 1, n) ? x1 : x2;
+    for (int i = 0; i < n; ++i)
+        out[i] = x[i];
+    return true;
+}
+
 } // namespace
 
 PrimeField::PrimeField(const MpUint &p)
@@ -311,6 +433,12 @@ PrimeField::PrimeField(const MpUint &p)
     if (!p_.isOdd())
         throw UleccError(Errc::InvalidInput,
                          "PrimeField: modulus must be odd");
+    if (words_ > kFieldElemWords)
+        throw UleccError(Errc::InvalidInput,
+                         "PrimeField: modulus wider than "
+                         + std::to_string(kFieldElemWords) + " words");
+    for (int i = 0; i < kFieldElemWords; ++i)
+        pw_[i] = p_.limb(i);
     // n0' = -p^-1 mod 2^32 via Newton iteration on the low word.
     uint32_t p0 = p_.limb(0);
     uint32_t inv = p0; // correct to 3 bits
@@ -329,38 +457,158 @@ PrimeField::PrimeField(NistPrime which)
 {
 }
 
+FieldElem
+PrimeField::elemOf(const MpUint &v) const
+{
+    FieldElem e;
+    for (int i = 0; i < words_; ++i)
+        e.w[i] = v.limbU(i);
+    return e;
+}
+
+FieldElem
+PrimeField::load(const MpUint &a) const
+{
+    return inRange(a) ? elemOf(a) : elemOf(reduce(a));
+}
+
+FieldElem
+PrimeField::mulGeneric(const FieldElem &a, const FieldElem &b) const
+{
+    // Two CIOS passes: (a*b*R^-1) * R^2 * R^-1 = a*b, with no division.
+    return elemOf(montMulCios(montMulCios(store(a), store(b)), r2ModP_));
+}
+
+FieldElem
+PrimeField::add(const FieldElem &a, const FieldElem &b) const
+{
+    notifyFieldOp(FieldOp::Add, bits_, false);
+    FieldElem r;
+    uint64_t c = 0;
+    for (int i = 0; i < words_; ++i) {
+        c += static_cast<uint64_t>(a.w[i]) + b.w[i];
+        r.w[i] = static_cast<uint32_t>(c);
+        c >>= 32;
+    }
+    if (c || geqWords(r.w, pw_, words_))
+        subWords(r.w, pw_, words_);
+    return r;
+}
+
+FieldElem
+PrimeField::sub(const FieldElem &a, const FieldElem &b) const
+{
+    notifyFieldOp(FieldOp::Sub, bits_, false);
+    FieldElem r;
+    uint64_t borrow = 0;
+    for (int i = 0; i < words_; ++i) {
+        uint64_t d = static_cast<uint64_t>(a.w[i]) - b.w[i] - borrow;
+        r.w[i] = static_cast<uint32_t>(d);
+        borrow = (d >> 32) & 1;
+    }
+    if (borrow)
+        addWords(r.w, pw_, words_);
+    return r;
+}
+
+FieldElem
+PrimeField::neg(const FieldElem &a) const
+{
+    notifyFieldOp(FieldOp::Sub, bits_, false);
+    if (isZero(a))
+        return a;
+    FieldElem r;
+    for (int i = 0; i < words_; ++i)
+        r.w[i] = pw_[i];
+    subWords(r.w, a.w, words_);
+    return r;
+}
+
+FieldElem
+PrimeField::mul(const FieldElem &a, const FieldElem &b) const
+{
+    notifyFieldOp(FieldOp::Mul, bits_, false);
+    uint32_t t[2 * kMaxWords];
+    switch (kind_) {
+      case NistPrime::P192: mulWords<6>(a.w, b.w, t); break;
+      case NistPrime::P224: mulWords<7>(a.w, b.w, t); break;
+      case NistPrime::P256: mulWords<8>(a.w, b.w, t); break;
+      case NistPrime::P384: mulWords<12>(a.w, b.w, t); break;
+      case NistPrime::P521: mulWords<17>(a.w, b.w, t); break;
+      default:
+        return mulGeneric(a, b);
+    }
+    FieldElem r;
+    reduceWords(t, r.w);
+    return r;
+}
+
+FieldElem
+PrimeField::sqr(const FieldElem &a) const
+{
+    notifyFieldOp(FieldOp::Sqr, bits_, false);
+    // The 64-bit-row multiply beats a doubled-cross-product squaring
+    // at every width of the study, so a square is a product.
+    uint32_t t[2 * kMaxWords];
+    switch (kind_) {
+      case NistPrime::P192: mulWords<6>(a.w, a.w, t); break;
+      case NistPrime::P224: mulWords<7>(a.w, a.w, t); break;
+      case NistPrime::P256: mulWords<8>(a.w, a.w, t); break;
+      case NistPrime::P384: mulWords<12>(a.w, a.w, t); break;
+      case NistPrime::P521: mulWords<17>(a.w, a.w, t); break;
+      default:
+        return mulGeneric(a, a);
+    }
+    FieldElem r;
+    reduceWords(t, r.w);
+    return r;
+}
+
+FieldElem
+PrimeField::inv(const FieldElem &a) const
+{
+    notifyFieldOp(FieldOp::Inv, bits_, false);
+    if (isZero(a))
+        throw UleccError(Errc::InvalidInput,
+                         "PrimeField::inv: inverse of zero");
+    const int n = (words_ + 1) / 2;
+    uint64_t x[kMaxLimbs64], p[kMaxLimbs64], r[kMaxLimbs64];
+    packLimbs64(a.w, words_, x);
+    packLimbs64(pw_, words_, p);
+    // n0 = -p^-1 mod 2^64 by Newton iteration (3, 6, ..., 96 bits).
+    uint64_t pinv = p[0];
+    for (int i = 0; i < 5; ++i)
+        pinv *= 2 - p[0] * pinv;
+    if (!invLimbs(x, p, 0 - pinv, n, r))
+        throw UleccError(Errc::InvalidInput,
+                         "PrimeField::inv: not invertible");
+    FieldElem e;
+    unpackLimbs64(r, words_, e.w);
+    return e;
+}
+
 MpUint
 PrimeField::add(const MpUint &a, const MpUint &b) const
 {
-    notifyFieldOp(FieldOp::Add, bits_, false);
-    return a.addMod(b, p_);
+    return store(add(load(a), load(b)));
 }
 
 MpUint
 PrimeField::sub(const MpUint &a, const MpUint &b) const
 {
-    notifyFieldOp(FieldOp::Sub, bits_, false);
-    return a.subMod(b, p_);
+    return store(sub(load(a), load(b)));
 }
 
 MpUint
 PrimeField::neg(const MpUint &a) const
 {
-    notifyFieldOp(FieldOp::Sub, bits_, false);
-    if (a.isZero())
-        return a;
-    return p_.sub(a);
+    return store(neg(load(a)));
 }
 
 MpUint
 PrimeField::mul(const MpUint &a, const MpUint &b) const
 {
-    notifyFieldOp(FieldOp::Mul, bits_, false);
-    if (!fixedWidth(a) || !fixedWidth(b))
-        return reduce(a.mulOperandScan(b));
-    uint32_t t[2 * kMaxWords];
-    mulWords(a, b, words_, t);
-    return reduceWords(t);
+    return store(mul(load(a), load(b)));
 }
 
 MpUint
@@ -373,19 +621,13 @@ PrimeField::mulProductScan(const MpUint &a, const MpUint &b) const
 MpUint
 PrimeField::sqr(const MpUint &a) const
 {
-    notifyFieldOp(FieldOp::Sqr, bits_, false);
-    if (!fixedWidth(a))
-        return reduce(a.sqr());
-    uint32_t t[2 * kMaxWords];
-    sqrWords(a, words_, t);
-    return reduceWords(t);
+    return store(sqr(load(a)));
 }
 
 MpUint
 PrimeField::inv(const MpUint &a) const
 {
-    notifyFieldOp(FieldOp::Inv, bits_, false);
-    return a.modInverseOdd(p_);
+    return store(inv(load(a)));
 }
 
 MpUint
@@ -421,24 +663,24 @@ PrimeField::reduce(const MpUint &wide) const
     uint32_t t[2 * kMaxWords] = {};
     for (int i = 0; i < wide.size(); ++i)
         t[i] = wide.limbU(i);
-    return reduceWords(t);
+    uint32_t r[kMaxWords];
+    reduceWords(t, r);
+    return MpUint::fromLimbs(r, words_);
 }
 
-MpUint
-PrimeField::reduceWords(const uint32_t *t) const
+void
+PrimeField::reduceWords(const uint32_t *t, uint32_t *r) const
 {
-    uint32_t r[kMaxWords];
     switch (kind_) {
-      case NistPrime::P192: reduceP192Words(t, p_, r); break;
-      case NistPrime::P224: reduceP224Words(t, p_, r); break;
-      case NistPrime::P256: reduceP256Words(t, p_, r); break;
-      case NistPrime::P384: reduceP384Words(t, p_, r); break;
+      case NistPrime::P192: reduceP192Words(t, pw_, r); break;
+      case NistPrime::P224: reduceP224Words(t, pw_, r); break;
+      case NistPrime::P256: reduceP256Words(t, pw_, r); break;
+      case NistPrime::P384: reduceP384Words(t, pw_, r); break;
       case NistPrime::P521: reduceP521Words(t, r); break;
       default:
         throw UleccError(Errc::Internal,
                          "PrimeField::reduceWords: not a NIST prime");
     }
-    return MpUint::fromLimbs(r, words_);
 }
 
 MpUint
@@ -507,7 +749,7 @@ PrimeField::reduceP192Literal(const MpUint &wide) const
     for (int i = 0; i < 12; ++i)
         t[i] = wide.limbU(i);
     uint32_t r[6];
-    reduceP192Words(t, p_, r);
+    reduceP192Words(t, pw_, r);
     return MpUint::fromLimbs(r, 6);
 }
 

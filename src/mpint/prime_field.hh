@@ -17,11 +17,22 @@
  * The five NIST primes of the study (P-192/224/256/384/521) are
  * recognised and given their Solinas fold identities (paper Eq. 4.3-4.7).
  * For them mul, sqr and reduce run fixed-width word kernels: operand
- * scanning and squaring over words() limbs into a stack buffer, then
- * the word-level reduction of FIPS 186-4 D.2 (P-224/256/384), the
- * paper's Algorithm 4 (P-192) or one shift-add (P-521).  The generic
- * Solinas fold (reduceSolinas) is the reference they are tested
- * against, and the path for inputs wider than 2*words() limbs.
+ * scanning over words() limbs (in 64-bit rows) into a stack buffer,
+ * then the word-level reduction of FIPS 186-4 D.2
+ * (P-224/256/384), the paper's Algorithm 4 (P-192) or one shift-add
+ * (P-521).  The generic Solinas fold (reduceSolinas) is the reference
+ * they are tested against, and the path for inputs wider than
+ * 2*words() limbs.
+ *
+ * The arithmetic proper runs on FieldElem (field_elem.hh), the form
+ * the curve formulas compute in: add, sub and neg on words for every
+ * modulus, mul and sqr on the word kernels for the NIST primes and
+ * through MpUint for a generic modulus (the toy curves, the group
+ * order: two CIOS Montgomery passes), inversion by a word-level
+ * binary EEA.  Each element op
+ * notifies the OpObserver exactly once.  The MpUint overloads are
+ * adapters: load (reducing an out-of-range operand), run the element
+ * op, store.
  */
 
 #ifndef ULECC_MPINT_PRIME_FIELD_HH
@@ -30,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "mpint/field_elem.hh"
 #include "mpint/mpuint.hh"
 
 namespace ulecc
@@ -80,10 +92,42 @@ class PrimeField
     /** True if a Solinas fast-reduction identity is available. */
     bool hasSolinas() const { return !terms_.empty(); }
 
-    /** (a + b) mod p; inputs must be < p. */
+    /** @name Element interface (the curve formulas' hot path) */
+    /** @{ */
+
+    /** @p a mod p as an element (an out-of-range value is reduced). */
+    FieldElem load(const MpUint &a) const;
+
+    /** The element's value as an MpUint. */
+    MpUint store(const FieldElem &a) const
+    {
+        return MpUint::fromLimbs(a.w, words_);
+    }
+
+    /** True iff 0 <= a < p: @p a is already a field element. */
+    bool inRange(const MpUint &a) const { return a < p_; }
+
+    bool isZero(const FieldElem &a) const { return elemIsZero(a, words_); }
+
+    FieldElem add(const FieldElem &a, const FieldElem &b) const;
+    FieldElem sub(const FieldElem &a, const FieldElem &b) const;
+    FieldElem neg(const FieldElem &a) const;
+    FieldElem mul(const FieldElem &a, const FieldElem &b) const;
+    FieldElem sqr(const FieldElem &a) const;
+
+    /**
+     * a^-1 by the binary extended Euclidean algorithm (Guide to ECC,
+     * Algorithm 2.22) on fixed words.  Throws Errc::InvalidInput for
+     * zero or a non-invertible value.
+     */
+    FieldElem inv(const FieldElem &a) const;
+
+    /** @} */
+
+    /** (a + b) mod p (an out-of-range operand is reduced first). */
     MpUint add(const MpUint &a, const MpUint &b) const;
 
-    /** (a - b) mod p; inputs must be < p. */
+    /** (a - b) mod p (an out-of-range operand is reduced first). */
     MpUint sub(const MpUint &a, const MpUint &b) const;
 
     /** (-a) mod p. */
@@ -173,16 +217,17 @@ class PrimeField
     bool sqrt(const MpUint &a, MpUint &root) const;
 
   private:
-    /** True if @p a may enter the fixed-width NIST kernels. */
-    bool fixedWidth(const MpUint &a) const
-    {
-        return kind_ != NistPrime::Generic && a.size() <= words_;
-    }
-
     /** Word-level NIST reduction of the 2*words() limbs at @p t. */
-    MpUint reduceWords(const uint32_t *t) const;
+    void reduceWords(const uint32_t *t, uint32_t *r) const;
+
+    /** The element holding @p v, which must be below p. */
+    FieldElem elemOf(const MpUint &v) const;
+
+    /** a*b mod p for a generic modulus, through MpUint and CIOS. */
+    FieldElem mulGeneric(const FieldElem &a, const FieldElem &b) const;
 
     MpUint p_;
+    uint32_t pw_[kFieldElemWords]; ///< p's words, zero above words()
     int bits_;
     int words_;
     NistPrime kind_;

@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include "check/oracles.hh"
 #include "check/refint.hh"
 #include "core/hexfloat.hh"
+#include "ec/curve.hh"
 
 using namespace ulecc;
 using namespace ulecc::check;
@@ -222,9 +225,10 @@ TEST(Diffuzz, StandardTargetsStayTheFour)
         names.push_back(t->name());
     EXPECT_EQ(names, (std::vector<std::string>{"mpint", "field", "ecdsa",
                                                "pete"}));
-    auto optIn = makeOptInTargets();
-    ASSERT_EQ(optIn.size(), 1u);
-    EXPECT_EQ(optIn[0]->name(), "icache");
+    std::vector<std::string> optIn;
+    for (const auto &t : makeOptInTargets())
+        optIn.push_back(t->name());
+    EXPECT_EQ(optIn, (std::vector<std::string>{"icache", "point"}));
 }
 
 TEST(Diffuzz, IcacheTargetRunsClean)
@@ -232,7 +236,9 @@ TEST(Diffuzz, IcacheTargetRunsClean)
     RunOptions opts;
     opts.seed = 1;
     opts.cases = 2000;
-    RunReport r = runDiffuzz(makeOptInTargets(), opts);
+    std::vector<std::unique_ptr<Target>> targets;
+    targets.push_back(makeIcacheTarget());
+    RunReport r = runDiffuzz(targets, opts);
     for (const Failure &f : r.failures)
         ADD_FAILURE() << formatCase(f.target, f.shrunk) << ": "
                       << f.detail;
@@ -246,6 +252,33 @@ TEST(Diffuzz, IcacheTargetRunsClean)
                      .has_value());
     EXPECT_FALSE(target->check({"loop", {"4", "1", "7", "64"}})
                      .has_value());
+}
+
+TEST(Diffuzz, PointTargetRunsClean)
+{
+    std::vector<std::unique_ptr<Target>> targets;
+    targets.push_back(makePointTarget());
+    RunOptions opts;
+    opts.seed = 1;
+    opts.cases = 150;
+    RunReport r = runDiffuzz(targets, opts);
+    for (const Failure &f : r.failures)
+        ADD_FAILURE() << formatCase(f.target, f.shrunk) << ": "
+                      << f.detail;
+    EXPECT_TRUE(r.pass());
+    // Fixed shapes: n * G is infinity on a verified curve, a twin
+    // whose terms cancel, and malformed operands, which pass vacuously.
+    auto target = makePointTarget();
+    const MpUint &n = standardCurve(CurveId::P256).order();
+    EXPECT_FALSE(target->check({"mul", {"P-256", n.toHex(), "1"}})
+                     .has_value());
+    EXPECT_FALSE(
+        target->check({"twin", {"B-163", "5", "2", "a", "1"}}).has_value());
+    EXPECT_FALSE(target->check({"twin", {"toyb", "3", "7", "4", "5"}})
+                     .has_value());
+    EXPECT_FALSE(target->check({"mul", {"P-999", "5", "1"}}).has_value());
+    EXPECT_FALSE(target->check({"mul", {"P-192", "zz", "1"}}).has_value());
+    EXPECT_FALSE(target->check({"mul", {"P-192", "5", "0"}}).has_value());
 }
 
 TEST(Diffuzz, ShortRunPassesWithByteStableJson)

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "ec/curve.hh"
 #include "ec/scalar_mult.hh"
@@ -373,6 +374,77 @@ TEST(Recoding, Signed135Reconstructs)
             pow = pow.shiftLeft(1);
         }
         EXPECT_EQ(acc.sub(offset), k);
+    }
+}
+
+namespace
+{
+
+/** The textbook NAF loop on MpUint, v = (v - d) / 2 (the oracle). */
+std::vector<int>
+textbookNaf(MpUint v)
+{
+    std::vector<int> digits;
+    while (!v.isZero()) {
+        int d = 0;
+        if (v.isOdd()) {
+            d = v.bits(0, 2) == 1 ? 1 : -1;
+            v = d > 0 ? v.sub(MpUint(1)) : v.add(MpUint(1));
+        }
+        digits.push_back(d);
+        v = v.shiftRight(1);
+    }
+    return digits;
+}
+
+/** The textbook {0, +-1, +-3, +-5} loop on MpUint (the oracle). */
+std::vector<int>
+textbookSigned135(MpUint v)
+{
+    auto centered = [](uint32_t r, int m) {
+        return static_cast<int>(r) >= m / 2 ? static_cast<int>(r) - m
+                                            : static_cast<int>(r);
+    };
+    std::vector<int> digits;
+    while (!v.isZero()) {
+        int d = 0;
+        if (v.isOdd()) {
+            int r16 = centered(v.bits(0, 4), 16);
+            d = (r16 == 5 || r16 == -5) ? r16 : centered(v.bits(0, 3), 8);
+            v = d > 0 ? v.sub(MpUint(static_cast<uint32_t>(d)))
+                      : v.add(MpUint(static_cast<uint32_t>(-d)));
+        }
+        digits.push_back(d);
+        v = v.shiftRight(1);
+    }
+    return digits;
+}
+
+} // namespace
+
+TEST(Recoding, DigitsMatchTextbookLoops)
+{
+    // The recodings track the remaining value as (k >> i) plus a small
+    // carry instead of rewriting an MpUint each step; the digit
+    // sequence (and so the order of point operations) must be the
+    // textbook loop's, digit for digit.
+    std::vector<MpUint> ks;
+    for (uint32_t v = 0; v < 600; ++v)
+        ks.push_back(MpUint(v));
+    for (CurveId id : {CurveId::P192, CurveId::P256, CurveId::P521,
+                       CurveId::B163, CurveId::B571}) {
+        const MpUint &n = standardCurve(id).order();
+        for (uint32_t dv = 0; dv < 40; ++dv) {
+            ks.push_back(n.sub(MpUint(dv + 1)));
+            ks.push_back(n.add(MpUint(dv)));
+        }
+    }
+    Rng rng(0x7e5);
+    for (int i = 0; i < 300; ++i)
+        ks.push_back(rng.mp(1 + static_cast<int>(rng.below(540))));
+    for (const MpUint &k : ks) {
+        EXPECT_EQ(recodeNaf(k), textbookNaf(k)) << k.toHex();
+        EXPECT_EQ(recodeSigned135(k), textbookSigned135(k)) << k.toHex();
     }
 }
 

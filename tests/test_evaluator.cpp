@@ -10,6 +10,8 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/evaluator.hh"
 #include "workload/fetch_trace.hh"
@@ -43,6 +45,64 @@ TEST(OpTrace, ShapeMatchesEcdsaStructure)
         EXPECT_GE(invs, 1u);
         EXPECT_LE(invs, 4u);
     }
+}
+
+namespace
+{
+
+/** FNV-1a 64 over the packed (domain, op) bytes of a sequence. */
+uint64_t
+seqDigest(const std::vector<OpEvent> &seq)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (OpEvent e : seq) {
+        h ^= e.packed;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** "<12 counts> <length> <digest>" of one recorded operation. */
+std::string
+opSeqFields(const OpCounts &counts, const std::vector<OpEvent> &seq)
+{
+    std::ostringstream os;
+    for (const auto &domain : counts.counts) {
+        for (uint64_t v : domain)
+            os << v << ' ';
+    }
+    os << seq.size() << ' ' << std::hex << seqDigest(seq);
+    return os.str();
+}
+
+} // namespace
+
+TEST(OpTrace, SequencePinned)
+{
+    // tests/golden/op_seq.txt pins, for every curve, the field-op
+    // counts and the digest of the notified op sequence of one traced
+    // sign and one traced verify.  The sequence feeds the fetch replay
+    // and the op-trace cost model, so a faster field or curve layer
+    // must notify exactly the same ops in exactly the same order.
+    std::string got =
+        "# curve, then for sign and for verify: field-op counts "
+        "(CurveField then OrderField,\n"
+        "# each Add Sub Mul Sqr Inv Reduce), sequence length and FNV-1a "
+        "64 digest of the\n"
+        "# packed OpEvent bytes; pinned by OpTrace.SequencePinned.\n";
+    for (const auto *ids : {&primeCurveIds(), &binaryCurveIds()}) {
+        for (CurveId id : *ids) {
+            const EcdsaTrace &t = ecdsaTrace(id);
+            got += curveIdName(id) + " sign "
+                + opSeqFields(t.sign, t.signSeq) + " verify "
+                + opSeqFields(t.verify, t.verifySeq) + '\n';
+        }
+    }
+    std::ifstream in(std::string(ULECC_GOLDEN_DIR) + "/op_seq.txt");
+    ASSERT_TRUE(in.good());
+    std::stringstream want;
+    want << in.rdbuf();
+    EXPECT_EQ(got, want.str()) << "current sequence file:\n" << got;
 }
 
 TEST(OpTrace, WorkScalesWithKeySize)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "asmkit/assembler.hh"
 #include "base/error.hh"
 #include "core/evaluator.hh"
@@ -359,6 +361,50 @@ TEST_F(CheckedEcdsaTest, EcdhRejectsCorruptedPeerAndBadScalar)
     AffinePoint good = ecdh.publicPoint(d);
     EXPECT_EQ(ecdh.agreeChecked(MpUint(), good).code(),
               Errc::InvalidInput);
+}
+
+TEST(CheckedPointValidation, CoordinatesOutsideTheFieldAreInvalidInput)
+{
+    // SEC 1, 3.2.2.1: a public point needs 0 <= x, y < p (degree below
+    // m on a binary curve).  (x + p, y) names the same point modulo p
+    // and used to verify; (x, y + p) used to fail only by accident,
+    // on an MpUint::sub underflow.
+    for (CurveId id : {CurveId::P192, CurveId::P256, CurveId::B163}) {
+        const Curve &c = standardCurve(id);
+        SCOPED_TRACE(c.name());
+        Ecdsa ecdsa(c);
+        Ecdh ecdh(c);
+        MpUint d(0x1234567);
+        KeyPair kp = ecdsa.keyFromPrivate(d);
+        Sha256Digest digest = sha256("coordinate range");
+        Signature sig = ecdsa.signDigest(d, digest);
+        Result<bool> good = ecdsa.verifyDigestChecked(kp.q, digest, sig);
+        ASSERT_TRUE(good.ok());
+        EXPECT_TRUE(good.value());
+        ASSERT_TRUE(ecdh.validatePeer(kp.q));
+
+        std::vector<AffinePoint> bad;
+        if (c.isBinary()) {
+            MpUint xm = MpUint::powerOfTwo(c.fieldBits());
+            bad = {{kp.q.x.bitXor(xm), kp.q.y}, {kp.q.x, kp.q.y.bitXor(xm)}};
+        } else {
+            const MpUint &p =
+                static_cast<const PrimeCurve &>(c).field().modulus();
+            bad = {{kp.q.x.add(p), kp.q.y}, {kp.q.x, kp.q.y.add(p)}};
+        }
+        for (const AffinePoint &q : bad) {
+            EXPECT_FALSE(c.onCurve(q));
+            Result<bool> v = ecdsa.verifyDigestChecked(q, digest, sig);
+            ASSERT_FALSE(v.ok());
+            EXPECT_EQ(v.code(), Errc::InvalidInput);
+            EXPECT_EQ(v.error().context,
+                      "verifyDigest: public point not on curve");
+            EXPECT_FALSE(ecdh.validatePeer(q));
+            Result<EcdhShared> shared = ecdh.agreeChecked(d, q);
+            ASSERT_FALSE(shared.ok());
+            EXPECT_EQ(shared.code(), Errc::InvalidInput);
+        }
+    }
 }
 
 // -------------------------------------------------------------- assembler

@@ -80,17 +80,18 @@ fi
 
 if [[ $run_tsan -eq 1 ]]; then
     # ThreadSanitizer covers the concurrency layer: the thread pool,
-    # the parallel sweep runner, the evaluation memo, the Pete runs
-    # they all drive (test_par), and the multi-threaded service engine
-    # (test_svc).  The serial suites add nothing under TSan, so only
-    # the concurrent tests run here.
+    # the parallel sweep runner, the evaluation memo, the keyed
+    # once-cells (OnceMap), the Pete runs they all drive (test_par),
+    # and the multi-threaded service engine (test_svc).  The serial
+    # suites add nothing under TSan, so only the concurrent tests run
+    # here.
     step "configure + build (tsan preset)"
     cmake --preset tsan
     cmake --build --preset tsan -j "$(nproc)" --target test_par test_svc
 
     step "test (tsan preset: parallel suites)"
     ctest --preset tsan -j "$(nproc)" \
-        -R '^(ThreadPool|Sweep|EvalCache|BenchSweep|Predecode|Svc)'
+        -R '^(ThreadPool|Sweep|EvalCache|BenchSweep|Predecode|Svc|OnceMap)'
 fi
 
 json_check="$repo/build/tools/json_check"
@@ -301,6 +302,12 @@ if [[ "$diffuzz_cases" != "0" ]]; then
     # runs here by name.
     step "diffuzz: opt-in icache target, $diffuzz_cases cases (seed 1)"
     "$diffuzz_bin" --seed 1 --cases "$diffuzz_cases" --target icache
+
+    # The point oracle pays a field inversion per scalar bit, so it
+    # runs a tenth of the case count (at least one case).
+    point_cases=$(( diffuzz_cases / 10 > 0 ? diffuzz_cases / 10 : 1 ))
+    step "diffuzz: opt-in point target, $point_cases cases (seed 1)"
+    "$diffuzz_bin" --seed 1 --cases "$point_cases" --target point
 fi
 
 if [[ $run_soak -eq 1 ]]; then

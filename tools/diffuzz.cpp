@@ -13,7 +13,7 @@
  *                 100000000)
  *   --target T    run only the named target(s) (default: the four
  *                 standard ones); also the only way to run an opt-in
- *                 target such as "icache"
+ *                 target, "icache" or "point"
  *   --corpus DIR  write one replayable .case file per failure
  *   --replay F    replay corpus file(s) instead of fuzzing
  *   --json PATH   write the "ulecc.diffuzz.v1" summary document
